@@ -27,6 +27,8 @@ from .model import (
     DomainError,
     EmptyVector,
     GDoFReport,
+    InvariantViolation,
+    MalformedDocument,
     MapMismatch,
     NonSquare,
     NumericalFailure,

@@ -18,6 +18,7 @@ from . import decomp, evaluator, tin
 from .model import (
     DecompositionMap,
     DomainError,
+    MalformedDocument,
     dumps,
     emit_decomposition_map,
     emit_scheme,
@@ -52,6 +53,34 @@ def _power_list(text: str) -> list[float]:
 
 def _rational_list(text: str) -> list[Fraction]:
     return [to_fraction(p) for p in text.split(",") if p]
+
+
+def _document_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _load_links(path: str) -> frozenset:
+    doc = json.loads(Path(path).read_text())
+    pairs = _document_list(doc.get("links") if isinstance(doc, dict) else doc, "links")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise MalformedDocument("each link must be a [receiver, transmitter] pair")
+    try:
+        return frozenset((int(k) - 1, int(i) - 1) for k, i in pairs)
+    except TypeError as exc:
+        raise MalformedDocument(f"link user index: {exc}") from None
+
+
+def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
+    report = json.loads(Path(path).read_text())
+    entries = _document_list(report.get("frontier") if isinstance(report, dict) else None, "frontier")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise MalformedDocument("frontier entries must be objects")
+    try:
+        return [[to_fraction(x) for x in _document_list(e.get("verified"), "verified")] for e in entries]
+    except TypeError as exc:
+        raise MalformedDocument(f"verified: {exc}") from None
 
 
 def _report_doc(scheme, channel, per_stream: bool) -> dict:
@@ -112,9 +141,7 @@ def _cmd_tin(args) -> dict:
 def _cmd_tim(args) -> dict:
     channel = _load_topology(args.topology)
     if args.links is not None:
-        doc = json.loads(Path(args.links).read_text())
-        pairs = doc["links"] if isinstance(doc, dict) else doc
-        links = frozenset((int(k) - 1, int(i) - 1) for k, i in pairs)
+        links = _load_links(args.links)
     else:
         threshold = args.threshold if args.threshold is not None else Fraction(0)
         links = frozenset(
@@ -172,9 +199,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_timeshare(args) -> dict:
-    report = json.loads(Path(args.report).read_text())
-    tuples = [[to_fraction(x) for x in entry["verified"]] for entry in report["frontier"]]
-    mixed = decomp.time_share(tuples, args.weights)
+    mixed = decomp.time_share(_load_frontier_tuples(args.report), args.weights)
     return {"gdof": _fractions(mixed)}
 
 

@@ -85,15 +85,18 @@ def synthesize_scheme(
     return validate_scheme(Scheme(tim_sol.n, streams), channel)
 
 
-def evaluate_map(channel: ChannelMatrix, dmap: DecompositionMap) -> DecompositionResult:
+def evaluate_map(
+    channel: ChannelMatrix, dmap: DecompositionMap, colorings: dict | None = None
+) -> DecompositionResult:
     """Solve both components of one decomposition, synthesize the combined
-    scheme, and verify the per-user products on the original channel."""
+    scheme, and verify the per-user products on the original channel.
+    ``colorings`` is handed to tim_solve as its coloring memo."""
     tin_channel, tim_topology = split(channel, dmap)
     _, tin_sol = tin.tin_symmetric(tin_channel)
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
     tin_fractions = tin.single_level_gdof(tin_channel, tin_sol.r)
-    tim_sol = tim_solve(tim_topology)
+    tim_sol = tim_solve(tim_topology, colorings)
     products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
     scheme = synthesize_scheme(tin_sol, tim_sol, channel)
     verified = tuple(
@@ -143,8 +146,9 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
     links = channel.cross_links()
     passed: dict[tuple, tuple[int, DecompositionResult]] = {}
     failed: dict[tuple, tuple[int, DecompositionResult]] = {}
+    colorings: dict = {}  # TIM subproblems repeat across maps
     for mask in candidate_masks(channel, budget):
-        result = evaluate_map(channel, _mask_to_map(links, mask))
+        result = evaluate_map(channel, _mask_to_map(links, mask), colorings)
         bucket = passed if result.verdict else failed
         if result.verified not in bucket:
             bucket[result.verified] = (mask, result)

@@ -24,6 +24,7 @@ from .model import (
     ChannelMatrix,
     DimensionMismatch,
     GDoFReport,
+    InvariantViolation,
     NumericalFailure,
     Scheme,
     UserGdof,
@@ -65,21 +66,22 @@ def logdet_exponent(pairs: Sequence[WeightedVector]) -> Fraction:
                 f"vector of length {len(p.vector)} in a {n}-dimensional family"
             )
     ordered = sorted(pairs, key=lambda p: (-p.exponent, p.source))
-    basis: list[list[Fraction]] = []  # echelon rows, pivot scaled to 1
+    basis: list[list[int]] = []  # gcd-reduced integer echelon rows
     pivots: list[int] = []
     total = Fraction(0)
     for p in ordered:
-        v = list(p.vector)
+        scale = math.lcm(*(c.denominator for c in p.vector))
+        v = [c.numerator * (scale // c.denominator) for c in p.vector]
         for row, j in zip(basis, pivots):
             c = v[j]
             if c:
-                for idx in range(j, n):
-                    v[idx] -= c * row[idx]
+                a = row[j]
+                v = [a * x - c * y for x, y in zip(v, row)]
         pivot = next((i for i, c in enumerate(v) if c != 0), None)
         if pivot is None:
             continue
-        inv = v[pivot]
-        basis.append([c / inv for c in v])
+        g = math.gcd(*v)
+        basis.append([c // g for c in v])
         pivots.append(pivot)
         total += p.exponent
         if len(basis) == n:
@@ -119,7 +121,8 @@ def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     difference."""
     combined = logdet_exponent(receiver_view(scheme, channel, k))
     interference = logdet_exponent(receiver_view(scheme, channel, k, include_own=False))
-    assert combined >= interference  # interference pairs are a subset
+    if combined < interference:  # interference pairs are a subset
+        raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
     return UserGdof(combined, interference, (combined - interference) / scheme.n)
 
 
@@ -145,8 +148,10 @@ def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
     for k in range(channel.K):
         u = user_gdof(scheme, channel, k)
         sc = successive_gdof(scheme, channel, k)
-        assert sum(sc, Fraction(0)) == u.gdof
-        assert 0 <= u.gdof <= channel.alpha[k][k]
+        if sum(sc, Fraction(0)) != u.gdof:
+            raise InvariantViolation(f"user {k}: per-stream GDoF does not sum to the user GDoF")
+        if not 0 <= u.gdof <= channel.alpha[k][k]:
+            raise InvariantViolation(f"user {k}: GDoF {u.gdof} outside [0, direct strength]")
         users.append(u)
         per_stream.append(sc)
     return GDoFReport(tuple(users), tuple(per_stream))

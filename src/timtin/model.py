@@ -58,6 +58,14 @@ class NumericalFailure(DomainError):
     """Floating-point log-det evaluation lost positive definiteness."""
 
 
+class MalformedDocument(DomainError):
+    """An input JSON document does not have the documented structure."""
+
+
+class InvariantViolation(DomainError):
+    """An internal consistency check failed (a defect, not bad input)."""
+
+
 def to_fraction(value: object) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 

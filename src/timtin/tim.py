@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exactlp
+from .model import InvariantViolation
 
 COLORING_LP_LIMIT = 12  # component size above which greedy coloring takes over
 
@@ -147,7 +148,8 @@ def fractional_coloring(members: list[int], adj):
         for s, w in sorted(zip(sets, weights), key=lambda p: sorted(p[0]))
         if w > 0
     ]
-    assert sum(count for _, count in slots) == chi_f * denom
+    if sum(count for _, count in slots) != chi_f * denom:
+        raise InvariantViolation("coloring slots do not add up to chi_f times their denominator")
     return chi_f, slots
 
 
@@ -167,8 +169,14 @@ def _basis_vector(n: int, j: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if idx == j else Fraction(0) for idx in range(n))
 
 
-def tim_solve(topo: TimTopology) -> TimSolution:
-    """Per-user signal-space fractions with a certifiable vector assignment."""
+def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
+    """Per-user signal-space fractions with a certifiable vector assignment.
+
+    ``colorings`` memoizes fractional_coloring results across calls, keyed
+    by a component's members and its conflict edges; a caller solving many
+    related topologies (one decomposition search) passes one dict to all.
+    """
+    colorings = {} if colorings is None else colorings
     K = topo.K
     alignment, conflict = build_graphs(topo)
     conf_adj = _adjacency(K, conflict)
@@ -200,7 +208,11 @@ def tim_solve(topo: TimTopology) -> TimSolution:
                     local[u] = [(Fraction(1), t)]
             plans.append((2, local, Fraction(1, 2), False))
         elif len(comp) <= COLORING_LP_LIMIT:
-            chi_f, slots = fractional_coloring(comp, conf_adj)
+            inside = set(comp)
+            key = (tuple(comp), tuple(sorted(e for e in conflict if e[0] in inside)))
+            if key not in colorings:
+                colorings[key] = fractional_coloring(comp, conf_adj)
+            chi_f, slots = colorings[key]
             block = sum(count for _, count in slots)
             local = {u: [] for u in comp}
             slot_index = 0
@@ -235,7 +247,8 @@ def tim_solve(topo: TimTopology) -> TimSolution:
             directions[u] = tuple(embedded)
 
     for u in range(K):  # the assignment must realize the claimed fraction
-        assert Fraction(len(directions[u]), n) >= fractions[u]
+        if Fraction(len(directions[u]), n) < fractions[u]:
+            raise InvariantViolation(f"user {u}: directions fall short of fraction {fractions[u]}")
 
     method = "coloring" if any(p[3] for p in plans) else "half_rate"
     return TimSolution(tuple(fractions), method, n, tuple(directions))

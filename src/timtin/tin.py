@@ -8,24 +8,30 @@ everything as noise always yields at least zero).  The system is decided
 by negative-cycle detection on the constraint graph; shortest-path
 potentials from the zero anchor are the componentwise-maximal feasible
 exponents.
+
+For the symmetric target (t, ..., t) every edge leaving a user node
+weighs a constant minus t, so a cycle with cost c (its weight at t = 0)
+and count m (its edges leaving user nodes) stays nonnegative exactly
+while t <= c / m.  The symmetric optimum is therefore the minimum
+cost-to-count cycle ratio floored at 0 (the cyclic bounds of the TIN
+region; the cycle through user k's own direct-link constraint has ratio
+a_kk).  Dinkelbach's iteration finds it exactly in rational arithmetic,
+with two certificates: a feasible point at t*, and a negative cycle of
+ratio at most t*, which stays negative at every larger t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .model import ChannelMatrix, to_fraction
+from .model import ChannelMatrix, InvariantViolation, to_fraction
 
 # Constraint edges are (u, v, w) meaning r_v - r_u <= w; node K is the
 # anchor pinned to 0.
 Edge = tuple[int, int, Fraction]
-
-SNAP_DENOMINATOR = 10**4
-BISECTION_PRECISION = Fraction(1, 10**9)
-OPTIMALITY_GAP = Fraction(1, 10**6)
-
 
 @dataclass(frozen=True)
 class TinSolution:
@@ -71,14 +77,21 @@ def _edges(channel: ChannelMatrix, targets: Sequence[Fraction]) -> list[Edge]:
 
 
 def _bellman_ford(n_nodes: int, edges: list[Edge], source: int):
-    """Shortest paths from source; returns (dist, negative_cycle_or_None)."""
+    """Shortest paths from source; returns (dist, None) or (None, negative_cycle).
+
+    Weights are scaled once by the lcm of their denominators so the
+    relaxation runs on Python ints; relaxation order, and so the returned
+    distances and cycle, are those of the rational weights.
+    """
+    scale = lcm(*(w.denominator for _, _, w in edges))
+    scaled = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
     dist = [None] * n_nodes
-    dist[source] = Fraction(0)
+    dist[source] = 0
     pred = [-1] * n_nodes
     trigger = -1
     for round_ in range(n_nodes):
         changed = False
-        for idx, (u, v, w) in enumerate(edges):
+        for idx, (u, v, w) in enumerate(scaled):
             du = dist[u]
             if du is not None and (dist[v] is None or du + w < dist[v]):
                 dist[v] = du + w
@@ -86,7 +99,7 @@ def _bellman_ford(n_nodes: int, edges: list[Edge], source: int):
                 changed = True
                 trigger = v
         if not changed:
-            return dist, None
+            return [None if d is None else Fraction(d, scale) for d in dist], None
     # still relaxing after n_nodes rounds: walk predecessors into the cycle
     x = trigger
     for _ in range(n_nodes):
@@ -100,7 +113,7 @@ def _bellman_ford(n_nodes: int, edges: list[Edge], source: int):
         if y == x:
             break
     cycle.reverse()
-    return dist, tuple(cycle)
+    return None, tuple(cycle)
 
 
 def tin_feasible(channel: ChannelMatrix, targets: Sequence) -> TinSolution:
@@ -114,85 +127,28 @@ def tin_feasible(channel: ChannelMatrix, targets: Sequence) -> TinSolution:
     dist, cycle = _bellman_ford(channel.K + 1, _edges(channel, d), channel.K)
     if cycle is not None:
         return TinSolution(False, None, cycle)
-    assert dist[channel.K] == 0  # anchor can only drop via a negative cycle
+    if dist[channel.K] != 0:
+        raise InvariantViolation("TIN anchor potential moved without a negative cycle")
     return TinSolution(True, tuple(dist[: channel.K]), None)
-
-
-def _feasible_float(alpha: list[list[float]], K: int, present, t: float) -> bool:
-    """Float Bellman-Ford for the symmetric target t; used only to bracket
-    the optimum, which is then re-verified exactly."""
-    edges = [(K, k, 0.0) for k in range(K)]
-    if t > 0:
-        for k in range(K):
-            edges.append((k, K, alpha[k][k] - t))
-            for j in present[k]:
-                edges.append((k, j, alpha[k][k] - alpha[k][j] - t))
-    dist = [None] * (K + 1)
-    dist[K] = 0.0
-    for _ in range(K + 1):
-        changed = False
-        for u, v, w in edges:
-            du = dist[u]
-            if du is not None and (dist[v] is None or du + w < dist[v] - 1e-15):
-                dist[v] = du + w
-                changed = True
-        if not changed:
-            return True
-    return False
 
 
 def tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSolution]:
     """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible.
 
-    Brackets the optimum by bisection (float fast path, exact fallback),
-    snaps to the nearest rational with denominator <= 10^4, and exactly
-    re-verifies that the snapped value is feasible while snapped + 1e-6 is
-    not.
+    Dinkelbach iteration on the constraint graph: start at the smallest
+    direct strength; while (t, ..., t) has a negative cycle, lower t to
+    that cycle's cost-to-count ratio, clamped at 0.  The first feasible t
+    is the exact optimum: the returned solution is feasible there, and the
+    last cycle found (or, when the start is feasible, the direct-link
+    cycle of the weakest user) has ratio at most t, so it is negative at
+    every larger target.
     """
-    min_diag = min(channel.alpha[k][k] for k in range(channel.K))
-    top = tin_feasible(channel, [min_diag] * channel.K)
-    if top.feasible:
-        return min_diag, top
-
-    def exact(t: Fraction) -> TinSolution:
-        return tin_feasible(channel, [t] * channel.K)
-
-    def verified(t: Fraction) -> TinSolution | None:
-        if not 0 <= t <= min_diag:
-            return None
-        sol = exact(t)
-        if sol.feasible and not exact(t + OPTIMALITY_GAP).feasible:
-            return sol
-        return None
-
-    alpha = [[float(a) for a in row] for row in channel.alpha]
-    present = [
-        [j for j in range(channel.K) if j != k and channel.alpha[k][j] > 0]
-        for k in range(channel.K)
-    ]
-    lo, hi = 0.0, float(min_diag)
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2
-        if _feasible_float(alpha, channel.K, present, mid):
-            lo = mid
-        else:
-            hi = mid
-    candidate = Fraction((lo + hi) / 2).limit_denominator(SNAP_DENOMINATOR)
-    sol = verified(candidate)
-    if sol is not None:
-        return candidate, sol
-
-    # Float bracketing failed (degenerate geometry or oversized
-    # denominator): redo the bisection in exact arithmetic.
-    flo, fhi = Fraction(0), min_diag
-    while fhi - flo > BISECTION_PRECISION:
-        mid = (flo + fhi) / 2
-        if exact(mid).feasible:
-            flo = mid
-        else:
-            fhi = mid
-    candidate = ((flo + fhi) / 2).limit_denominator(SNAP_DENOMINATOR)
-    sol = verified(candidate)
-    if sol is not None:
-        return candidate, sol
-    return flo, exact(flo)  # flo + 1e-6 > fhi, so the gap contract still holds
+    t = min(channel.alpha[k][k] for k in range(channel.K))
+    while True:
+        sol = tin_feasible(channel, [t] * channel.K)
+        if sol.feasible:
+            return t, sol
+        # Edges leaving a user node weigh (constant - t); anchor edges weigh 0.
+        count = sum(1 for u, _, _ in sol.negative_cycle if u != channel.K)
+        total = sum((w for _, _, w in sol.negative_cycle), Fraction(0))
+        t = max(Fraction(0), (total + count * t) / count)

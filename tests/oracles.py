@@ -100,6 +100,36 @@ def grid_tin_feasible(channel: ChannelMatrix, targets, step=Fraction(1, 20), flo
     return True
 
 
+def symmetric_tin_optimum(channel: ChannelMatrix) -> Fraction:
+    """Largest symmetric TIN target, by enumerating every simple cycle of
+    the constraint graph.
+
+    At target t an edge leaving a user node weighs (its cost - t) and an
+    edge leaving the anchor weighs 0, so a cycle of cost c with m user-node
+    edges stays nonnegative exactly while t <= c / m.  The optimum is the
+    minimum ratio over all cycles, clamped to [0, smallest direct strength].
+    """
+    K = channel.K
+    a = channel.alpha
+    out: dict[int, list[tuple[int, Fraction, int]]] = {K: [(k, Fraction(0), 0) for k in range(K)]}
+    for k in range(K):
+        out[k] = [(K, a[k][k], 1)] + [
+            (j, a[k][k] - a[k][j], 1) for j in range(K) if j != k and a[k][j] > 0
+        ]
+    ratios = []
+
+    def walk(start, node, cost, count, visited):
+        for nxt, c, m in out[node]:
+            if nxt == start:
+                ratios.append((cost + c) / (count + m))
+            elif nxt > start and nxt not in visited:  # each cycle once, from its lowest node
+                walk(start, nxt, cost + c, count + m, visited | {nxt})
+
+    for start in range(K + 1):
+        walk(start, start, Fraction(0), 0, {start})
+    return min(max(Fraction(0), min(ratios)), min(a[k][k] for k in range(K)))
+
+
 # --- random instance generators (all on coarse rational grids so exponent
 # gaps stay bounded away from zero wherever float oracles are involved) ---
 

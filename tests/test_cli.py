@@ -162,6 +162,29 @@ def test_timeshare_weight_mismatch(files, capsys, tmp_path):
     assert json.loads(out)["gdof"] == ["0.5", "0.5"]
 
 
+@pytest.mark.parametrize(
+    "command, option, document",
+    [
+        ("tim", "--links", {"links": 5}),
+        ("tim", "--links", [[1, 2, 3]]),
+        ("tim", "--links", {"links": [[None, 1]]}),
+        ("timeshare", "-r", {"frontier": [{"verified": 5}]}),
+        ("timeshare", "-r", {"frontier": 3}),
+        ("timeshare", "-r", {"frontier": [7]}),
+        ("timeshare", "-r", {"frontier": [{"verified": [None]}]}),
+    ],
+)
+def test_malformed_documents_are_domain_errors(files, capsys, tmp_path, command, option, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = ["-t", str(files / "small.json")] if command == "tim" else ["-w", "1"]
+    code, out = run(capsys, command, option, str(path), *argv)
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"].startswith("MalformedDocument: ")
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out = run(capsys, "eval", "-t", "/nonexistent.json", "-s", "/nonexistent.json")
     assert code == 1

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -185,3 +189,30 @@ def test_single_stream_single_use_reduction(seed):
     expected = single_stream_gdof(cm, r)
     for k in range(K):
         assert user_gdof(scheme, cm, k).gdof == expected[k]
+
+
+INVARIANT_UNDER_O = """
+from timtin import evaluator
+from timtin.fixtures import baseline_map, five_user_network
+from timtin.decomp import evaluate_map
+from timtin.model import InvariantViolation
+
+network = five_user_network()
+scheme = evaluate_map(network, baseline_map()).scheme
+evaluator.logdet_exponent = lambda pairs: -len(pairs)  # more pairs, smaller exponent
+try:
+    evaluator.user_gdof(scheme, network, 0)
+except InvariantViolation as exc:
+    print("raised:", exc)
+"""
+
+
+def test_invariants_survive_python_O():
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: user 0:")

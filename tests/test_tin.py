@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_tin_feasible, random_channel, single_stream_gdof
+from oracles import grid_tin_feasible, random_channel, single_stream_gdof, symmetric_tin_optimum
 from timtin import decomp
 from timtin.fixtures import baseline_map, five_user_network, improved_map
 from timtin.model import validate_channel
@@ -129,3 +129,42 @@ def test_agrees_with_grid_search(seed):
     targets = [Fraction(rng.randint(0, 12), 20) - eps for _ in range(K)]
     targets = [max(t, Fraction(0)) for t in targets]
     assert tin_feasible(cm, targets).feasible == grid_tin_feasible(cm, targets)
+
+
+def assert_symmetric_optimum(cm):
+    d, sol = tin_symmetric(cm)
+    assert d == symmetric_tin_optimum(cm)
+    # the returned solution is a feasible point at d itself
+    assert sol.feasible and all(x <= 0 for x in sol.r)
+    assert all(g >= d for g in single_stream_gdof(cm, sol.r))
+    return d
+
+
+def test_symmetric_optimum_is_exact_on_mixed_denominators():
+    # A Z channel with strengths over 97, 101 and 103: the optimum is the
+    # ratio of the cycle through both users, 507228/1009091.
+    cm = validate_channel([["74/97", "0", "0"], ["52/101", "78/103", "0"], ["0", "0", "88/103"]])
+    assert assert_symmetric_optimum(cm) == Fraction(507228, 1009091)
+
+
+MIXED = [Fraction(n, q) for q in (97, 101, 103) for n in range(q // 4, q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda K: st.tuples(
+            st.lists(st.sampled_from(MIXED[len(MIXED) // 2 :]), min_size=K, max_size=K),
+            st.lists(
+                st.one_of(st.just(Fraction(0)), st.sampled_from(MIXED)),
+                min_size=K * K,
+                max_size=K * K,
+            ),
+        )
+    )
+)
+def test_symmetric_optimum_is_the_minimum_cycle_ratio(drawn):
+    diag, cross = drawn
+    K = len(diag)
+    alpha = [[diag[k] if k == i else cross[k * K + i] for i in range(K)] for k in range(K)]
+    assert_symmetric_optimum(validate_channel(alpha))
