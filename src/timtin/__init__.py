@@ -11,7 +11,6 @@ from .decomp import (
     time_share,
 )
 from .evaluator import (
-    WeightedVector,
     finite_p_rate,
     finite_p_stream_rates,
     gdof_report,
@@ -21,6 +20,7 @@ from .evaluator import (
     user_gdof,
 )
 from .model import (
+    BudgetOutOfRange,
     ChannelMatrix,
     DecompositionMap,
     DimensionMismatch,

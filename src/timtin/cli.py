@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import decomp, evaluator, tin
 from .model import (
-    DecompositionMap,
     DomainError,
     MalformedDocument,
+    document_list,
     dumps,
     emit_decomposition_map,
     emit_scheme,
     format_rational,
-    parse_decomposition_map,
     parse_scheme,
     parse_topology,
     to_fraction,
@@ -55,15 +54,9 @@ def _rational_list(text: str) -> list[Fraction]:
     return [to_fraction(p) for p in text.split(",") if p]
 
 
-def _document_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise MalformedDocument(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
 def _load_links(path: str) -> frozenset:
     doc = json.loads(Path(path).read_text())
-    pairs = _document_list(doc.get("links") if isinstance(doc, dict) else doc, "links")
+    pairs = document_list(doc.get("links") if isinstance(doc, dict) else doc, "links")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise MalformedDocument("each link must be a [receiver, transmitter] pair")
     try:
@@ -74,11 +67,11 @@ def _load_links(path: str) -> frozenset:
 
 def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
     report = json.loads(Path(path).read_text())
-    entries = _document_list(report.get("frontier") if isinstance(report, dict) else None, "frontier")
+    entries = document_list(report.get("frontier") if isinstance(report, dict) else None, "frontier")
     if not all(isinstance(entry, dict) for entry in entries):
         raise MalformedDocument("frontier entries must be objects")
     try:
-        return [[to_fraction(x) for x in _document_list(e.get("verified"), "verified")] for e in entries]
+        return [[to_fraction(x) for x in document_list(e.get("verified"), "verified")] for e in entries]
     except TypeError as exc:
         raise MalformedDocument(f"verified: {exc}") from None
 
@@ -226,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     topo_scheme(p)
     p.add_argument("-P", "--powers", type=_power_list, default=[1e6, 1e10],
                    help="one or two power values, e.g. 1e6,1e10")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="echoed in the document; does not change the rates yet")
     p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("tin", help="symmetric GDoF (or target feasibility) under power control")
@@ -245,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="search decompositions and report the verified frontier")
     p.add_argument("-t", "--topology", required=True)
-    p.add_argument("--exhaustive-cap", type=int, default=16)
+    p.add_argument("--exhaustive-cap", type=int, default=16,
+                   help=f"exhaustive up to 2^CAP maps, CAP in 0..{decomp.MAX_EXHAUSTIVE_CAP}")
     p.add_argument("--emit-schemes", default=None, metavar="DIR",
                    help="write scheme/map JSON per frontier point into DIR")
     p.set_defaults(run=_cmd_decompose)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from . import evaluator, tin
 from .model import (
+    BudgetOutOfRange,
     ChannelMatrix,
     DecompositionMap,
     DimensionMismatch,
@@ -30,12 +31,23 @@ from .model import (
 from .tim import TimSolution, TimTopology, tim_solve
 
 
+# Largest exhaustive_cap a search accepts: 2^20 maps at ~1.5 ms each is
+# already ~26 minutes, and the exhaustive mask list is materialized whole.
+MAX_EXHAUSTIVE_CAP = 20
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Search is exhaustive up to 2^exhaustive_cap maps; beyond that only
     strength-threshold maps and their single-link perturbations are tried."""
 
     exhaustive_cap: int = 16
+
+    def __post_init__(self):
+        if not 0 <= self.exhaustive_cap <= MAX_EXHAUSTIVE_CAP:
+            raise BudgetOutOfRange(
+                f"exhaustive_cap {self.exhaustive_cap} outside 0..{MAX_EXHAUSTIVE_CAP}"
+            )
 
 
 @dataclass(frozen=True)

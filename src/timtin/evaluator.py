@@ -8,15 +8,20 @@ order with an exact rational rank test attains that maximum (linear
 matroid + sorted weights), so no epsilon ever enters the GDoF path.
 
 A finite-power numerical oracle evaluates the actual achievable rates in
-floating point for cross-checking slopes against exact GDoF values.
+floating point for cross-checking slopes against exact GDoF values.  Its
+``seed`` argument does not change the rates yet: the oracle's channel is
+the strength matrix itself, with no random per-link magnitudes.
+
+Both paths decide which streams receiver k still hears after it has
+decoded some of its own streams with the same mask, ``_undecoded``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate, compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,43 +40,31 @@ from .model import (
 MAX_ORACLE_POWER = 1e12
 
 
-@dataclass(frozen=True)
-class WeightedVector:
-    """A beamforming direction with its receive power exponent and a stable
-    (user, stream position) source label used for deterministic tie-breaks."""
-
-    vector: tuple[Fraction, ...]
-    exponent: Fraction
-    source: tuple[int, int]
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("below-noise pairs must be dropped before construction")
-
-
-def logdet_exponent(pairs: Sequence[WeightedVector]) -> Fraction:
+def logdet_exponent(pairs: Sequence[tuple[Sequence[Fraction], Fraction]]) -> Fraction:
     """High-power exponent of log det(I + sum_i P^{e_i} v_i v_i^T).
 
-    Pairs are sorted by exponent descending (ties by source label) and kept
-    greedily iff linearly independent of the pairs already kept; the result
-    is the sum of kept exponents.  Greedy on a linear matroid with sorted
-    weights maximizes the sum, so the tie-break never changes the value.
+    ``pairs`` are (v_i, e_i).  Pairs with e_i < 0 sit below the unit noise
+    floor and are skipped.  The rest are sorted by exponent descending and
+    kept greedily iff linearly independent of the pairs already kept; the
+    result is the sum of kept exponents.  Greedy on a linear matroid with
+    sorted weights maximizes the sum, so the order among equal exponents
+    never changes the value.
     """
     if not pairs:
         return Fraction(0)
-    n = len(pairs[0].vector)
-    for p in pairs:
-        if len(p.vector) != n:
+    n = len(pairs[0][0])
+    for vector, _ in pairs:
+        if len(vector) != n:
             raise DimensionMismatch(
-                f"vector of length {len(p.vector)} in a {n}-dimensional family"
+                f"vector of length {len(vector)} in a {n}-dimensional family"
             )
-    ordered = sorted(pairs, key=lambda p: (-p.exponent, p.source))
+    ordered = sorted((p for p in pairs if p[1] >= 0), key=lambda p: -p[1])
     basis: list[list[int]] = []  # gcd-reduced integer echelon rows
     pivots: list[int] = []
     total = Fraction(0)
-    for p in ordered:
-        scale = math.lcm(*(c.denominator for c in p.vector))
-        v = [c.numerator * (scale // c.denominator) for c in p.vector]
+    for vector, exponent in ordered:
+        scale = math.lcm(*(c.denominator for c in vector))
+        v = [c.numerator * (scale // c.denominator) for c in vector]
         for row, j in zip(basis, pivots):
             c = v[j]
             if c:
@@ -83,44 +76,37 @@ def logdet_exponent(pairs: Sequence[WeightedVector]) -> Fraction:
         g = math.gcd(*v)
         basis.append([c // g for c in v])
         pivots.append(pivot)
-        total += p.exponent
+        total += exponent
         if len(basis) == n:
             break
     return total
 
 
-def receiver_view(
-    scheme: Scheme,
-    channel: ChannelMatrix,
-    k: int,
-    decoded_own: int = 0,
-    include_own: bool = True,
-) -> list[WeightedVector]:
-    """Streams as seen by receiver k, excluding those below the noise floor.
+def _undecoded(users: Sequence[int], k: int, decoded: int) -> list[bool]:
+    """Which streams (given by their users, in scheme order) receiver k
+    still hears once it has decoded and subtracted the first ``decoded`` of
+    its own streams: every other user's stream, and user k's streams from
+    position ``decoded`` on.  ``decoded`` 0 is the combined view; all of
+    user k's streams decoded is the interference-plus-noise view."""
+    own_before = accumulate((u == k for u in users), initial=0)
+    return [u != k or before >= decoded for u, before in zip(users, own_before)]
 
-    Own streams with position < decoded_own are treated as already decoded
-    and subtracted; ``include_own=False`` removes all of user k's streams
-    (the interference-plus-noise view).
-    """
-    pairs = []
-    position = [0] * channel.K
-    for s in scheme.streams:
-        l = position[s.user]
-        position[s.user] += 1
-        if s.user == k and (not include_own or l < decoded_own):
-            continue
-        exponent = channel.alpha[k][s.user] + s.power_exp
-        if exponent < 0:
-            continue  # below the noise floor: no GDoF impact
-        pairs.append(WeightedVector(s.vector, exponent, (s.user, l)))
-    return pairs
+
+def _exponents_after(
+    scheme: Scheme, channel: ChannelMatrix, k: int, decodeds: Iterable[int]
+) -> list[Fraction]:
+    """Receiver k's log-det exponent after each number of decoded own streams."""
+    users = [s.user for s in scheme.streams]
+    row = channel.alpha[k]
+    pairs = [(s.vector, row[s.user] + s.power_exp) for s in scheme.streams]
+    return [logdet_exponent(list(compress(pairs, _undecoded(users, k, d)))) for d in decodeds]
 
 
 def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     """GDoF of user k: exponents of the two determinants and their scaled
     difference."""
-    combined = logdet_exponent(receiver_view(scheme, channel, k))
-    interference = logdet_exponent(receiver_view(scheme, channel, k, include_own=False))
+    b = len(scheme.streams_of(k))
+    combined, interference = _exponents_after(scheme, channel, k, (0, b))
     if combined < interference:  # interference pairs are a subset
         raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
     return UserGdof(combined, interference, (combined - interference) / scheme.n)
@@ -134,10 +120,7 @@ def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fra
     their sum equals user_gdof(k) exactly.
     """
     b = len(scheme.streams_of(k))
-    exps = [
-        logdet_exponent(receiver_view(scheme, channel, k, decoded_own=l))
-        for l in range(b + 1)
-    ]
+    exps = _exponents_after(scheme, channel, k, range(b + 1))
     return tuple((exps[l] - exps[l + 1]) / scheme.n for l in range(b))
 
 
@@ -211,41 +194,45 @@ def _logdet(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.ndarra
     return _logdet_mp(unit_dirs, kappas, P, keep)
 
 
-def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float, seed: int):
-    """Unit-norm float directions and receive exponents per (receiver, stream).
+def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
+    """Unit-norm float directions, stream users and receive exponents per
+    (receiver, stream).
 
-    The per-link phases multiply whole rank-one terms by unit-modulus
-    scalars, so they cancel inside every covariance; they are still drawn
-    for a seed-stable interface.
+    Nothing here is random, so the oracle's seed does not change the rates
+    until per-link magnitudes are drawn from it.
     """
     if not P > 1:
         raise ValueError("P must exceed 1")
     if P > MAX_ORACLE_POWER:
         raise ValueError(f"P capped at {MAX_ORACLE_POWER:.0e} for double precision")
-    rng = np.random.default_rng(seed)
-    rng.uniform(0.0, 2.0 * math.pi, size=(channel.K, channel.K))  # phase draw
     directions = np.array(
         [np.array([float(c) for c in s.vector]) for s in scheme.streams]
     )
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    users = np.array([s.user for s in scheme.streams])
+    users = [s.user for s in scheme.streams]
     r = np.array([float(s.power_exp) for s in scheme.streams])
     alpha = np.array([[float(a) for a in row] for row in channel.alpha])
     kappas = alpha[:, users] + r  # kappas[k, s]: receive exponent at receiver k
     return directions, users, kappas
 
 
+def _logdets_after(directions, users, kappas, P: float, k: int, decodeds) -> list[float]:
+    """Receiver k's log-det in nats after each number of decoded own streams."""
+    return [
+        _logdet(directions, kappas[k], P, np.array(_undecoded(users, k, d), dtype=bool))
+        for d in decodeds
+    ]
+
+
 def finite_p_rate(
     scheme: Scheme, channel: ChannelMatrix, P: float, seed: int = 0
 ) -> list[float]:
     """Per-user achievable rate in bits per channel use at finite power P."""
-    directions, users, kappas = _oracle_inputs(scheme, channel, P, seed)
-    n = scheme.n
+    directions, users, kappas = _oracle_inputs(scheme, channel, P)
     rates = []
     for k in range(channel.K):
-        combined = _logdet(directions, kappas[k], P, np.ones(len(users), dtype=bool))
-        noise_int = _logdet(directions, kappas[k], P, users != k)
-        rates.append((combined - noise_int) / (n * math.log(2)))
+        combined, noise_int = _logdets_after(directions, users, kappas, P, k, (0, users.count(k)))
+        rates.append((combined - noise_int) / (scheme.n * math.log(2)))
     return rates
 
 
@@ -254,15 +241,10 @@ def finite_p_stream_rates(
 ) -> list[float]:
     """Conditional per-stream rates of user k (decode-and-subtract order);
     they sum to finite_p_rate(k) up to float roundoff."""
-    directions, users, kappas = _oracle_inputs(scheme, channel, P, seed)
-    n = scheme.n
-    b = int(np.sum(users == k))
-    own_position = np.cumsum(users == k) - 1  # position of each own stream
-    logdets = [
-        _logdet(directions, kappas[k], P, (users != k) | (own_position >= decoded))
-        for decoded in range(b + 1)
-    ]
-    return [(logdets[l] - logdets[l + 1]) / (n * math.log(2)) for l in range(b)]
+    directions, users, kappas = _oracle_inputs(scheme, channel, P)
+    b = users.count(k)
+    logdets = _logdets_after(directions, users, kappas, P, k, range(b + 1))
+    return [(logdets[l] - logdets[l + 1]) / (scheme.n * math.log(2)) for l in range(b)]
 
 
 def slope_estimate(
@@ -272,8 +254,7 @@ def slope_estimate(
     P_high: float,
     seed: int = 0,
 ) -> list[float]:
-    """Finite-difference GDoF surrogate between two power levels, using the
-    same phase draw at both."""
+    """Finite-difference GDoF surrogate between two power levels."""
     if not 1 < P_low < P_high:
         raise ValueError("need 1 < P_low < P_high")
     low = finite_p_rate(scheme, channel, P_low, seed)

@@ -66,6 +66,10 @@ class InvariantViolation(DomainError):
     """An internal consistency check failed (a defect, not bad input)."""
 
 
+class BudgetOutOfRange(DomainError):
+    """A search budget is outside the range the search can afford."""
+
+
 def to_fraction(value: object) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 
@@ -213,32 +217,20 @@ class Scheme:
     def streams_of(self, user: int) -> tuple[Stream, ...]:
         return tuple(s for s in self.streams if s.user == user)
 
-    def stream_counts(self, K: int) -> tuple[int, ...]:
-        counts = [0] * K
-        for s in self.streams:
-            counts[s.user] += 1
-        return tuple(counts)
-
 
 def validate_scheme(scheme: Scheme, channel: ChannelMatrix) -> Scheme:
     """Check a scheme against a channel and return it in normalized form.
 
     Each vector is rescaled so its first nonzero coordinate is 1; scaling
-    is GDoF-irrelevant, so this is a pure canonicalization.
+    is GDoF-irrelevant, so this is a pure canonicalization.  Vector length,
+    power exponent and nonzero direction are already enforced by the
+    Stream and Scheme constructors.
     """
     normalized = []
     for s in scheme.streams:
         if not 0 <= s.user < channel.K:
             raise DimensionMismatch(f"stream user {s.user} out of range for K={channel.K}")
-        if len(s.vector) != scheme.n:
-            raise DimensionMismatch(
-                f"stream of user {s.user} has {len(s.vector)} coordinates, block is {scheme.n}"
-            )
-        if s.power_exp > 0:
-            raise PositivePowerExponent(f"power exponent {s.power_exp} > 0")
-        pivot = next((c for c in s.vector if c != 0), None)
-        if pivot is None:
-            raise EmptyVector(f"stream of user {s.user} has no direction")
+        pivot = next(c for c in s.vector if c != 0)
         normalized.append(Stream(s.user, tuple(c / pivot for c in s.vector), s.power_exp))
     return Scheme(scheme.n, tuple(normalized))
 
@@ -299,6 +291,13 @@ def _loads(text: str):
     return json.loads(text, parse_float=Fraction)
 
 
+def document_list(value, what: str) -> list:
+    """``value`` if it is a JSON list, else MalformedDocument naming ``what``."""
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def dumps(doc) -> str:
     """Deterministic JSON emission used for every document this package writes."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -308,8 +307,13 @@ def parse_topology(text: str) -> ChannelMatrix:
     doc = _loads(text)
     if not isinstance(doc, dict) or "alpha" not in doc:
         raise NonSquare('topology file must be {"K": int, "alpha": [[...]]}')
-    channel = validate_channel(doc["alpha"])
-    if "K" in doc and int(doc["K"]) != channel.K:
+    rows = [document_list(row, "alpha row") for row in document_list(doc["alpha"], "alpha")]
+    try:
+        channel = validate_channel(rows)
+        declared = int(doc.get("K", channel.K))
+    except TypeError as exc:
+        raise MalformedDocument(f"topology: {exc}") from None
+    if declared != channel.K:
         raise NonSquare(f'declared K={doc["K"]} but alpha is {channel.K}x{channel.K}')
     return channel
 
@@ -327,16 +331,21 @@ def parse_scheme(text: str) -> Scheme:
     doc = _loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "streams" not in doc:
         raise DimensionMismatch('scheme file must be {"n": int, "streams": [...]}')
-    streams = []
-    for entry in doc["streams"]:
-        streams.append(
+    entries = document_list(doc["streams"], "streams")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise MalformedDocument("streams entries must be objects")
+    try:
+        streams = [
             Stream(
                 user=int(entry["user"]) - 1,
-                vector=tuple(to_fraction(c) for c in entry["vector"]),
+                vector=tuple(to_fraction(c) for c in document_list(entry["vector"], "vector")),
                 power_exp=to_fraction(entry["power_exp"]),
             )
-        )
-    return Scheme(int(doc["n"]), tuple(streams))
+            for entry in entries
+        ]
+        return Scheme(int(doc["n"]), tuple(streams))
+    except TypeError as exc:
+        raise MalformedDocument(f"scheme: {exc}") from None
 
 
 def emit_scheme(scheme: Scheme) -> str:

@@ -172,17 +172,38 @@ def test_timeshare_weight_mismatch(files, capsys, tmp_path):
         ("timeshare", "-r", {"frontier": 3}),
         ("timeshare", "-r", {"frontier": [7]}),
         ("timeshare", "-r", {"frontier": [{"verified": [None]}]}),
+        ("tin", "-t", {"K": 2, "alpha": 5}),
+        ("eval", "-s", {"n": 1, "streams": 5}),
+        ("eval", "-s", {"n": 1, "streams": [5]}),
+        ("eval", "-s", {"n": 1, "streams": [{"user": 1, "vector": 5, "power_exp": "0"}]}),
     ],
 )
 def test_malformed_documents_are_domain_errors(files, capsys, tmp_path, command, option, document):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
-    argv = ["-t", str(files / "small.json")] if command == "tim" else ["-w", "1"]
+    argv = {
+        "tim": ["-t", str(files / "small.json")],
+        "eval": ["-t", str(files / "small.json")],
+        "timeshare": ["-w", "1"],
+        "tin": [],
+    }[command]
     code, out = run(capsys, command, option, str(path), *argv)
     assert code == 1
     doc = json.loads(out)
     jsonschema.validate(doc, schema("error.schema.json"))
     assert doc["error"].startswith("MalformedDocument: ")
+
+
+def test_exhaustive_cap_beyond_ceiling_is_domain_error(files, capsys, monkeypatch):
+    def no_masks(*args):
+        raise AssertionError("candidate masks built for an out-of-range cap")
+
+    monkeypatch.setattr(decomp, "candidate_masks", no_masks)
+    code, out = run(capsys, "decompose", "-t", str(files / "small.json"), "--exhaustive-cap", "64")
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"].startswith("BudgetOutOfRange: ")
 
 
 def test_missing_file_is_domain_error(capsys):
