@@ -23,6 +23,8 @@ from .model import (
     emit_decomposition_map,
     emit_scheme,
     format_rational,
+    link_list,
+    parse_links,
     parse_scheme,
     parse_topology,
     to_fraction,
@@ -56,13 +58,7 @@ def _rational_list(text: str) -> list[Fraction]:
 
 def _load_links(path: str) -> frozenset:
     doc = json.loads(Path(path).read_text())
-    pairs = document_list(doc.get("links") if isinstance(doc, dict) else doc, "links")
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise MalformedDocument("each link must be a [receiver, transmitter] pair")
-    try:
-        return frozenset((int(k) - 1, int(i) - 1) for k, i in pairs)
-    except TypeError as exc:
-        raise MalformedDocument(f"link user index: {exc}") from None
+    return parse_links(doc.get("links") if isinstance(doc, dict) else doc, "links")
 
 
 def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
@@ -76,28 +72,18 @@ def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
         raise MalformedDocument(f"verified: {exc}") from None
 
 
-def _report_doc(scheme, channel, per_stream: bool) -> dict:
-    report = evaluator.gdof_report(scheme, channel)
+def _cmd_report(args) -> dict:
+    """``eval``, and ``sc`` with the per-stream split added."""
+    channel = _load_topology(args.topology)
+    report = evaluator.gdof_report(_load_scheme(args.scheme, channel), channel)
     doc = {
         "gdof": _fractions(report.gdof),
         "combined_exp": _fractions(u.combined_exp for u in report.users),
         "interference_exp": _fractions(u.interference_exp for u in report.users),
     }
-    if per_stream:
+    if args.command == "sc":
         doc["per_stream"] = [_fractions(row) for row in report.per_stream]
     return doc
-
-
-def _cmd_eval(args) -> dict:
-    channel = _load_topology(args.topology)
-    scheme = _load_scheme(args.scheme, channel)
-    return _report_doc(scheme, channel, per_stream=False)
-
-
-def _cmd_sc(args) -> dict:
-    channel = _load_topology(args.topology)
-    scheme = _load_scheme(args.scheme, channel)
-    return _report_doc(scheme, channel, per_stream=True)
 
 
 def _cmd_oracle(args) -> dict:
@@ -106,9 +92,7 @@ def _cmd_oracle(args) -> dict:
     rates = [evaluator.finite_p_rate(scheme, channel, p, args.seed) for p in args.powers]
     doc = {"P": args.powers, "seed": args.seed, "rates": rates, "slopes": None}
     if len(args.powers) == 2:
-        doc["slopes"] = evaluator.slope_estimate(
-            scheme, channel, args.powers[0], args.powers[1], args.seed
-        )
+        doc["slopes"] = evaluator.slopes_from_rates(args.powers, rates)
     return doc
 
 
@@ -136,11 +120,8 @@ def _cmd_tim(args) -> dict:
     if args.links is not None:
         links = _load_links(args.links)
     else:
-        threshold = args.threshold if args.threshold is not None else Fraction(0)
         links = frozenset(
-            (k, i)
-            for k, i in channel.cross_links()
-            if channel.alpha[k][i] >= threshold and channel.alpha[k][i] > 0
+            (k, i) for k, i in channel.cross_links() if channel.alpha[k][i] >= args.threshold
         )
     solution = tim_solve(TimTopology(channel.K, links))
     return {
@@ -155,8 +136,8 @@ def _cmd_tim(args) -> dict:
 
 def _result_doc(result: decomp.DecompositionResult) -> dict:
     return {
-        "tim_links": sorted([k + 1, i + 1] for k, i in result.map.tim_links),
-        "tin_links": sorted([k + 1, i + 1] for k, i in result.map.tin_links),
+        "tim_links": link_list(result.map.tim_links),
+        "tin_links": link_list(result.map.tin_links),
         "tin_fractions": _fractions(result.tin_fractions),
         "tim_fractions": _fractions(result.tim_fractions),
         "products": _fractions(result.products),
@@ -174,7 +155,7 @@ def _cmd_decompose(args) -> dict:
     frontier = [r for r in results if r.verdict]
     failed = [r for r in results if not r.verdict]
     doc = {
-        "cross_links": sorted([k + 1, i + 1] for k, i in channel.cross_links()),
+        "cross_links": link_list(channel.cross_links()),
         "evaluated": len(decomp.candidate_masks(channel, budget)),
         "frontier": [_result_doc(r) for r in frontier],
         "failed": [_result_doc(r) for r in failed],
@@ -209,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="GDoF of a scheme on a topology")
     topo_scheme(p)
-    p.set_defaults(run=_cmd_eval)
+    p.set_defaults(run=_cmd_report)
 
     p = sub.add_parser("sc", help="eval plus per-stream successive-cancellation split")
     topo_scheme(p)
-    p.set_defaults(run=_cmd_sc)
+    p.set_defaults(run=_cmd_report)
 
     p = sub.add_parser("oracle", help="finite-power rates and slope estimate")
     topo_scheme(p)
@@ -231,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tim", help="signal-space fractions on a binary topology")
     p.add_argument("-t", "--topology", required=True)
-    p.add_argument("--threshold", type=to_fraction, default=None,
+    p.add_argument("--threshold", type=to_fraction, default=Fraction(0),
                    help="links with strength >= threshold form the topology (default: all present)")
     p.add_argument("--links", default=None,
                    help='explicit link list file: {"links": [[k,i], ...]} (1-based)')

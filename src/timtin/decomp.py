@@ -26,7 +26,6 @@ from .model import (
     Stream,
     WeightMismatch,
     to_fraction,
-    validate_scheme,
 )
 from .tim import TimSolution, TimTopology, tim_solve
 
@@ -94,7 +93,7 @@ def synthesize_scheme(
         for user in range(channel.K)
         for vector in tim_sol.directions[user]
     )
-    return validate_scheme(Scheme(tim_sol.n, streams), channel)
+    return Scheme(tim_sol.n, streams)
 
 
 def evaluate_map(
@@ -156,25 +155,19 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
     """
     budget = budget or SearchBudget()
     links = channel.cross_links()
-    passed: dict[tuple, tuple[int, DecompositionResult]] = {}
-    failed: dict[tuple, tuple[int, DecompositionResult]] = {}
+    # candidate_masks ascends and each tuple keeps the first result seen,
+    # so both dicts (insertion-ordered) are already in mask order.
+    passed: dict[tuple, DecompositionResult] = {}
+    failed: dict[tuple, DecompositionResult] = {}
     colorings: dict = {}  # TIM subproblems repeat across maps
     for mask in candidate_masks(channel, budget):
         result = evaluate_map(channel, _mask_to_map(links, mask), colorings)
-        bucket = passed if result.verdict else failed
-        if result.verified not in bucket:
-            bucket[result.verified] = (mask, result)
+        (passed if result.verdict else failed).setdefault(result.verified, result)
     frontier = [
-        (mask, res)
-        for tup, (mask, res) in passed.items()
-        if not any(
-            other != tup and all(o >= t for o, t in zip(other, tup))
-            for other in passed
-        )
+        res for tup, res in passed.items()
+        if not any(other != tup and all(o >= t for o, t in zip(other, tup)) for other in passed)
     ]
-    frontier.sort(key=lambda pair: pair[0])
-    rejected = sorted(failed.values(), key=lambda pair: pair[0])
-    return [res for _, res in frontier] + [res for _, res in rejected]
+    return frontier + list(failed.values())
 
 
 def time_share(results: Sequence, weights: Sequence) -> tuple[Fraction, ...]:

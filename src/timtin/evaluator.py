@@ -205,9 +205,8 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
         raise ValueError("P must exceed 1")
     if P > MAX_ORACLE_POWER:
         raise ValueError(f"P capped at {MAX_ORACLE_POWER:.0e} for double precision")
-    directions = np.array(
-        [np.array([float(c) for c in s.vector]) for s in scheme.streams]
-    )
+    directions = np.array([[float(c) for c in s.vector] for s in scheme.streams])
+    directions = directions.reshape(-1, scheme.n)  # shape (0, n) when there are no streams
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     users = [s.user for s in scheme.streams]
     r = np.array([float(s.power_exp) for s in scheme.streams])
@@ -247,6 +246,15 @@ def finite_p_stream_rates(
     return [(logdets[l] - logdets[l + 1]) / (scheme.n * math.log(2)) for l in range(b)]
 
 
+def slopes_from_rates(powers: Sequence[float], rates: Sequence[Sequence[float]]) -> list[float]:
+    """Finite-difference GDoF surrogate from per-user rates at (P_low, P_high)."""
+    (P_low, P_high), (low, high) = powers, rates
+    if not 1 < P_low < P_high:
+        raise ValueError("need 1 < P_low < P_high")
+    span = math.log2(P_high) - math.log2(P_low)
+    return [(h - l) / span for h, l in zip(high, low)]
+
+
 def slope_estimate(
     scheme: Scheme,
     channel: ChannelMatrix,
@@ -255,9 +263,5 @@ def slope_estimate(
     seed: int = 0,
 ) -> list[float]:
     """Finite-difference GDoF surrogate between two power levels."""
-    if not 1 < P_low < P_high:
-        raise ValueError("need 1 < P_low < P_high")
-    low = finite_p_rate(scheme, channel, P_low, seed)
-    high = finite_p_rate(scheme, channel, P_high, seed)
-    span = math.log2(P_high) - math.log2(P_low)
-    return [(h - l) / span for h, l in zip(high, low)]
+    powers = (P_low, P_high)
+    return slopes_from_rates(powers, [finite_p_rate(scheme, channel, P, seed) for P in powers])

@@ -298,6 +298,32 @@ def document_list(value, what: str) -> list:
     return value
 
 
+def document_int(value, what: str) -> int:
+    """``value`` if it is an integer-valued JSON number (2 or 2.0), else
+    MalformedDocument naming ``what``; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise MalformedDocument(f"{what} must be an integer, got {type(value).__name__}")
+    if value % 1:  # also true for inf and nan
+        raise MalformedDocument(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
+def parse_links(value, what: str) -> frozenset[tuple[int, int]]:
+    """A JSON list of 1-based [receiver, transmitter] pairs, as 0-based tuples."""
+    pairs = document_list(value, what)
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise MalformedDocument("each link must be a [receiver, transmitter] pair")
+    return frozenset(
+        (document_int(k, "link user index") - 1, document_int(i, "link user index") - 1)
+        for k, i in pairs
+    )
+
+
+def link_list(links) -> list[list[int]]:
+    """0-based (receiver, transmitter) pairs as a sorted 1-based JSON list."""
+    return sorted([k + 1, i + 1] for k, i in links)
+
+
 def dumps(doc) -> str:
     """Deterministic JSON emission used for every document this package writes."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -310,9 +336,9 @@ def parse_topology(text: str) -> ChannelMatrix:
     rows = [document_list(row, "alpha row") for row in document_list(doc["alpha"], "alpha")]
     try:
         channel = validate_channel(rows)
-        declared = int(doc.get("K", channel.K))
     except TypeError as exc:
         raise MalformedDocument(f"topology: {exc}") from None
+    declared = document_int(doc.get("K", channel.K), "K")
     if declared != channel.K:
         raise NonSquare(f'declared K={doc["K"]} but alpha is {channel.K}x{channel.K}')
     return channel
@@ -337,13 +363,13 @@ def parse_scheme(text: str) -> Scheme:
     try:
         streams = [
             Stream(
-                user=int(entry["user"]) - 1,
+                user=document_int(entry["user"], "stream user") - 1,
                 vector=tuple(to_fraction(c) for c in document_list(entry["vector"], "vector")),
                 power_exp=to_fraction(entry["power_exp"]),
             )
             for entry in entries
         ]
-        return Scheme(int(doc["n"]), tuple(streams))
+        return Scheme(document_int(doc["n"], "n"), tuple(streams))
     except TypeError as exc:
         raise MalformedDocument(f"scheme: {exc}") from None
 
@@ -369,15 +395,10 @@ def parse_decomposition_map(text: str) -> DecompositionMap:
     if not isinstance(doc, dict) or "tim_links" not in doc or "tin_links" not in doc:
         raise MapMismatch('map file must be {"tim_links": [[k,i]...], "tin_links": [[k,i]...]}')
     return DecompositionMap(
-        tim_links=frozenset((int(k) - 1, int(i) - 1) for k, i in doc["tim_links"]),
-        tin_links=frozenset((int(k) - 1, int(i) - 1) for k, i in doc["tin_links"]),
+        tim_links=parse_links(doc["tim_links"], "tim_links"),
+        tin_links=parse_links(doc["tin_links"], "tin_links"),
     )
 
 
 def emit_decomposition_map(dmap: DecompositionMap) -> str:
-    return dumps(
-        {
-            "tim_links": sorted([k + 1, i + 1] for k, i in dmap.tim_links),
-            "tin_links": sorted([k + 1, i + 1] for k, i in dmap.tin_links),
-        }
-    )
+    return dumps({"tim_links": link_list(dmap.tim_links), "tin_links": link_list(dmap.tin_links)})

@@ -5,9 +5,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from timtin import cli, decomp
+from timtin import cli, decomp, evaluator
 from timtin.fixtures import baseline_map, five_user_network
-from timtin.model import emit_scheme, emit_topology, to_fraction
+from timtin.model import emit_scheme, emit_topology, parse_scheme, parse_topology, to_fraction
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
 
@@ -74,6 +74,30 @@ def test_oracle(files, capsys):
     jsonschema.validate(doc, schema("oracle_result.schema.json"))
     for slope in doc["slopes"]:
         assert abs(slope - 0.3) <= 0.05
+
+
+def test_oracle_reuses_rates_for_slopes(files, capsys):
+    topo, scheme_file = files / "topo.json", files / "scheme.json"
+    code, out = run(capsys, "oracle", "-t", str(topo), "-s", str(scheme_file),
+                    "-P", "1e3,1e12", "--seed", "2")
+    assert code == 0
+    doc = json.loads(out)
+    channel = parse_topology(topo.read_text())
+    scheme = parse_scheme(scheme_file.read_text())
+    assert doc["rates"] == [evaluator.finite_p_rate(scheme, channel, p, 2) for p in (1e3, 1e12)]
+    assert doc["slopes"] == evaluator.slope_estimate(scheme, channel, 1e3, 1e12, 2)
+
+
+def test_oracle_empty_scheme_gives_zeros(files, capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 2, "streams": []}')
+    code, out = run(capsys, "oracle", "-t", str(files / "small.json"), "-s", str(empty),
+                    "-P", "1e3,1e6")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("oracle_result.schema.json"))
+    assert doc["rates"] == [[0.0] * 3, [0.0] * 3]
+    assert doc["slopes"] == [0.0] * 3
 
 
 def test_oracle_single_power(files, capsys):
@@ -176,6 +200,14 @@ def test_timeshare_weight_mismatch(files, capsys, tmp_path):
         ("eval", "-s", {"n": 1, "streams": 5}),
         ("eval", "-s", {"n": 1, "streams": [5]}),
         ("eval", "-s", {"n": 1, "streams": [{"user": 1, "vector": 5, "power_exp": "0"}]}),
+        ("tim", "--links", {"links": [[1.5, 2]]}),
+        ("tim", "--links", {"links": [[True, 2]]}),
+        ("tin", "-t", {"K": 1.7, "alpha": [["1"]]}),
+        ("tin", "-t", {"K": True, "alpha": [["1"]]}),
+        ("tin", "-t", {"K": "1", "alpha": [["1"]]}),
+        ("eval", "-s", {"n": 1, "streams": [{"user": 1.5, "vector": ["1"], "power_exp": "0"}]}),
+        ("eval", "-s", {"n": 1, "streams": [{"user": True, "vector": ["1"], "power_exp": "0"}]}),
+        ("eval", "-s", {"n": 1.5, "streams": []}),
     ],
 )
 def test_malformed_documents_are_domain_errors(files, capsys, tmp_path, command, option, document):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_channel
 from timtin import decomp
@@ -12,7 +14,9 @@ from timtin.model import (
     MapMismatch,
     WeightMismatch,
     validate_channel,
+    validate_scheme,
 )
+from timtin.tim import TimTopology, tim_solve
 
 
 def test_split_reference_components(network5):
@@ -172,6 +176,47 @@ def test_threshold_family_when_over_budget(network5):
     assert len(masks) <= 2 + 2 * 11 + 11 * 2
     results = decomp.search(network5, budget)
     assert all(r.verdict for r in results)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_synthesized_schemes_are_already_normalized(seed):
+    """synthesize_scheme skips validate_scheme: every TIM direction leads
+    with 1, so normalizing a searched scheme changes nothing."""
+    rng = random.Random(seed)
+    K = rng.randint(2, 6)
+    links = frozenset(
+        (k, i) for k in range(K) for i in range(K) if k != i and rng.random() < 0.4
+    )
+    for user_dirs in tim_solve(TimTopology(K, links)).directions:
+        for vec in user_dirs:
+            assert next(c for c in vec if c != 0) == 1
+    cm = random_channel(rng, K, cross_prob=min(0.5, 6 / (K * (K - 1))))
+    for r in decomp.search(cm, decomp.SearchBudget(exhaustive_cap=7)):
+        assert validate_scheme(r.scheme, cm) == r.scheme
+
+
+def _mask_of(result, links) -> int:
+    return sum(1 << b for b, link in enumerate(links) if link in result.map.tim_links)
+
+
+@pytest.mark.parametrize("cap", [decomp.SearchBudget().exhaustive_cap, 3])
+def test_search_results_in_mask_order(cap):
+    """Frontier, then failed results, each ascending in map bitmask, and
+    each verified tuple represented by the lowest mask that reaches it."""
+    cm = random_channel(random.Random(7), 4, cross_prob=0.6)
+    links = cm.cross_links()
+    budget = decomp.SearchBudget(exhaustive_cap=cap)
+    first_mask = {}
+    for mask in decomp.candidate_masks(cm, budget):
+        verified = decomp.evaluate_map(cm, decomp._mask_to_map(links, mask)).verified
+        first_mask.setdefault(verified, mask)
+    results = decomp.search(cm, budget)
+    for group in ([r for r in results if r.verdict], [r for r in results if not r.verdict]):
+        masks = [_mask_of(r, links) for r in group]
+        assert masks == sorted(masks)
+        assert masks == [first_mask[r.verified] for r in group]
+    assert [r.verdict for r in results] == sorted((r.verdict for r in results), reverse=True)
 
 
 def test_time_share_identity_and_mixing(baseline_result, improved_result):

@@ -1,0 +1,77 @@
+"""Byte-identity of the CLI documents.
+
+For each network, the stdout of ``decompose`` (with the scheme and map
+files it emits), ``tin``, ``tim`` and ``eval``/``sc`` on every emitted
+frontier scheme is hashed into one sha256 and compared with the digest
+recorded in ``GOLDEN``.  A refactor must leave every digest unchanged.
+``oracle`` is left out: its floats depend on the numpy/BLAS build.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+
+import pytest
+
+from oracles import random_channel
+from timtin import cli
+from timtin.fixtures import five_user_network
+from timtin.model import emit_topology
+
+# network name -> (channel, extra decompose options)
+NETWORKS = {
+    "reference": (five_user_network(), []),
+    "seeded3": (random_channel(random.Random(0), 3, cross_prob=0.6), []),
+    "seeded4": (random_channel(random.Random(7), 4, cross_prob=0.6), []),
+    "seeded4-threshold": (
+        random_channel(random.Random(6), 4, cross_prob=0.6), ["--exhaustive-cap", "3"]
+    ),
+}
+
+GOLDEN = {
+    "reference": "3591b72ae856e165a52ea8718ab587cfe9559a3762ec0f13243253b26c81840c",
+    "seeded3": "985ec8fb3ceb9aa17caa58ad744c6cc170a37859155b753f505d3f4efc31cbc0",
+    "seeded4": "df9b183313995016c0fa26790394e6d6c6543bb121309142c4382d031c753592",
+    "seeded4-threshold": "9441ed424f9f30f035294c479915f27d1bd22c11f2b39f3f2b52d20ac60491cd",
+}
+
+
+def _stdout(*argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([str(a) for a in argv])
+    assert code == 0, buf.getvalue()
+    return buf.getvalue()
+
+
+def network_digest(channel, options, root) -> str:
+    """sha256 over every document the CLI writes for one network."""
+    topo = root / "topo.json"
+    topo.write_text(emit_topology(channel))
+    out = root / "schemes"
+    digest = hashlib.sha256()
+
+    def record(label, text):
+        digest.update(f"{label}\n{text}".encode())
+
+    record("decompose", _stdout("decompose", "-t", topo, "--emit-schemes", out, *options))
+    for path in sorted(out.iterdir()):
+        record(path.name, path.read_text())
+    record("tin", _stdout("tin", "-t", topo))
+    record("tim", _stdout("tim", "-t", topo))
+    record("tim --threshold 1", _stdout("tim", "-t", topo, "--threshold", "1"))
+    for scheme in sorted(out.glob("scheme_*.json")):
+        for command in ("eval", "sc"):
+            record(f"{command} {scheme.name}", _stdout(command, "-t", topo, "-s", scheme))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_cli_documents_unchanged(name, tmp_path):
+    channel, options = NETWORKS[name]
+    got = network_digest(channel, options, tmp_path)
+    assert got == GOLDEN[name], (
+        f"CLI documents for {name!r} changed (sha256 {got}). If the change is "
+        "intended, update GOLDEN in tests/test_golden.py and say so in CHANGES.md."
+    )

@@ -10,6 +10,7 @@ from timtin.model import (
     DecompositionMap,
     DimensionMismatch,
     EmptyVector,
+    MalformedDocument,
     MapMismatch,
     NonSquare,
     PositivePowerExponent,
@@ -168,3 +169,20 @@ def test_scheme_round_trip(data):
 def test_map_round_trip():
     dmap = DecompositionMap(frozenset({(0, 3), (1, 0)}), frozenset({(0, 1)}))
     assert parse_decomposition_map(emit_decomposition_map(dmap)) == dmap
+
+
+def test_indices_accept_integral_numbers_only():
+    assert parse_topology('{"K": 1.0, "alpha": [["1"]]}').K == 1
+    scheme = parse_scheme('{"n": 1.0, "streams": [{"user": 2.0, "vector": [1], "power_exp": 0}]}')
+    assert scheme.n == 1 and scheme.streams[0].user == 1
+    dmap = parse_decomposition_map('{"tim_links": [[1.0, 2]], "tin_links": []}')
+    assert dmap.tim_links == frozenset({(0, 1)})
+    for text in (
+        '{"tim_links": [[1.5, 2]], "tin_links": []}',
+        '{"tim_links": [[true, 2]], "tin_links": []}',
+        '{"tim_links": [["1", 2]], "tin_links": []}',
+        '{"tim_links": [[1, 2, 3]], "tin_links": []}',
+        '{"tim_links": 5, "tin_links": []}',
+    ):
+        with pytest.raises(MalformedDocument):
+            parse_decomposition_map(text)
