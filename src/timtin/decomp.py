@@ -6,7 +6,9 @@ separately, the per-user product of their fractions is the claimed GDoF,
 and an explicit combined scheme is synthesized and re-evaluated on the
 original channel.  Claims are never trusted: a result whose evaluated
 GDoF falls short of its product is reported with verdict=False rather
-than dropped.
+than dropped.  Within one search, maps that synthesize the same scheme
+share one verification (memoized by scheme): the same scheme on the same
+channel has the same GDoF tuple.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .model import (
 from .tim import TimSolution, TimTopology, tim_solve
 
 
-# Largest exhaustive_cap a search accepts: 2^20 maps at ~1.5 ms each is
-# already ~26 minutes, and the exhaustive mask list is materialized whole.
+# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.8 ms each is
+# already ~14 minutes.  Exhaustive masks are a lazy range; the search
+# keeps one result per distinct verified tuple and one memo entry per
+# distinct scheme, so its memory grows with those counts, not with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
 
@@ -97,11 +101,18 @@ def synthesize_scheme(
 
 
 def evaluate_map(
-    channel: ChannelMatrix, dmap: DecompositionMap, colorings: dict | None = None
+    channel: ChannelMatrix,
+    dmap: DecompositionMap,
+    colorings: dict | None = None,
+    verifications: dict | None = None,
 ) -> DecompositionResult:
     """Solve both components of one decomposition, synthesize the combined
     scheme, and verify the per-user products on the original channel.
-    ``colorings`` is handed to tim_solve as its coloring memo."""
+    ``colorings`` is handed to tim_solve as its coloring memo.
+    ``verifications`` maps each scheme already verified on this channel to
+    its verified tuple; search passes one dict per call, so each distinct
+    scheme is verified once per search.  Products and the verdict are
+    still computed per map."""
     tin_channel, tim_topology = split(channel, dmap)
     _, tin_sol = tin.tin_symmetric(tin_channel)
     # The canonical (componentwise-maximal) exponents may exceed the
@@ -110,9 +121,13 @@ def evaluate_map(
     tim_sol = tim_solve(tim_topology, colorings)
     products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
     scheme = synthesize_scheme(tin_sol, tim_sol, channel)
-    verified = tuple(
-        evaluator.user_gdof(scheme, channel, k).gdof for k in range(channel.K)
-    )
+    if verifications is None:
+        verifications = {}
+    verified = verifications.get(scheme)
+    if verified is None:
+        verified = verifications[scheme] = tuple(
+            evaluator.user_gdof(scheme, channel, k).gdof for k in range(channel.K)
+        )
     return DecompositionResult(
         map=dmap,
         tin_fractions=tin_fractions,
@@ -131,13 +146,14 @@ def _mask_to_map(links: Sequence[tuple[int, int]], mask: int) -> DecompositionMa
     return DecompositionMap(tim_links, frozenset(links) - tim_links)
 
 
-def candidate_masks(channel: ChannelMatrix, budget: SearchBudget) -> list[int]:
-    """Map bitmasks the search will evaluate, in canonical order (bit b set
-    means cross link b goes to the TIM component)."""
+def candidate_masks(channel: ChannelMatrix, budget: SearchBudget) -> Sequence[int]:
+    """Map bitmasks the search will evaluate, in ascending order (bit b set
+    means cross link b goes to the TIM component): a lazy range in
+    exhaustive mode, a sorted list in threshold mode."""
     links = channel.cross_links()
     L = len(links)
     if L <= budget.exhaustive_cap:
-        return list(range(1 << L))
+        return range(1 << L)
     masks = {0}
     for tau in sorted({channel.alpha[k][i] for k, i in links}):
         base = sum(1 << b for b, (k, i) in enumerate(links) if channel.alpha[k][i] >= tau)
@@ -160,13 +176,18 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
     passed: dict[tuple, DecompositionResult] = {}
     failed: dict[tuple, DecompositionResult] = {}
     colorings: dict = {}  # TIM subproblems repeat across maps
+    verifications: dict = {}  # and so do synthesized schemes
     for mask in candidate_masks(channel, budget):
-        result = evaluate_map(channel, _mask_to_map(links, mask), colorings)
+        result = evaluate_map(channel, _mask_to_map(links, mask), colorings, verifications)
         (passed if result.verdict else failed).setdefault(result.verified, result)
-    frontier = [
-        res for tup, res in passed.items()
-        if not any(other != tup and all(o >= t for o, t in zip(other, tup)) for other in passed)
-    ]
+    # A dominator has a strictly larger sum and dominance is transitive, so
+    # in descending-sum order each tuple need only be tested against the
+    # undominated tuples kept before it.
+    undominated: set[tuple] = set()
+    for tup in sorted(passed, key=sum, reverse=True):
+        if not any(all(o >= t for o, t in zip(other, tup)) for other in undominated):
+            undominated.add(tup)
+    frontier = [res for tup, res in passed.items() if tup in undominated]
     return frontier + list(failed.values())
 
 

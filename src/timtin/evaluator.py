@@ -102,14 +102,24 @@ def _exponents_after(
     return [logdet_exponent(list(compress(pairs, _undecoded(users, k, d)))) for d in decodeds]
 
 
+def _user_from(k: int, combined: Fraction, interference: Fraction, n: int) -> UserGdof:
+    """User k's GDoF from the exponents with none and all of its streams decoded."""
+    if combined < interference:  # interference pairs are a subset
+        raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
+    return UserGdof(combined, interference, (combined - interference) / n)
+
+
+def _per_stream(exps: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
+    """Per-stream GDoF from the exponents after 0..b decoded streams."""
+    return tuple((exps[l] - exps[l + 1]) / n for l in range(len(exps) - 1))
+
+
 def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     """GDoF of user k: exponents of the two determinants and their scaled
     difference."""
     b = len(scheme.streams_of(k))
     combined, interference = _exponents_after(scheme, channel, k, (0, b))
-    if combined < interference:  # interference pairs are a subset
-        raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
-    return UserGdof(combined, interference, (combined - interference) / scheme.n)
+    return _user_from(k, combined, interference, scheme.n)
 
 
 def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fraction, ...]:
@@ -120,17 +130,21 @@ def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fra
     their sum equals user_gdof(k) exactly.
     """
     b = len(scheme.streams_of(k))
-    exps = _exponents_after(scheme, channel, k, range(b + 1))
-    return tuple((exps[l] - exps[l + 1]) / scheme.n for l in range(b))
+    return _per_stream(_exponents_after(scheme, channel, k, range(b + 1)), scheme.n)
 
 
 def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
-    """Full per-user and per-stream GDoF report with invariant checks."""
+    """Full per-user and per-stream GDoF report with invariant checks.
+
+    Each user's exponents after 0..b decoded streams are taken once; the
+    user GDoF comes from the two ends and the per-stream split from all."""
     users = []
     per_stream = []
     for k in range(channel.K):
-        u = user_gdof(scheme, channel, k)
-        sc = successive_gdof(scheme, channel, k)
+        b = len(scheme.streams_of(k))
+        exps = _exponents_after(scheme, channel, k, range(b + 1))
+        u = _user_from(k, exps[0], exps[b], scheme.n)
+        sc = _per_stream(exps, scheme.n)
         if sum(sc, Fraction(0)) != u.gdof:
             raise InvariantViolation(f"user {k}: per-stream GDoF does not sum to the user GDoF")
         if not 0 <= u.gdof <= channel.alpha[k][k]:

@@ -75,8 +75,11 @@ def to_fraction(value: object) -> Fraction:
 
     Strings may be decimal ("0.3" -> 3/10, "2e-1" -> 1/5) or "p/q".
     Floats go through their shortest decimal repr, so 0.3 means 3/10
-    rather than the underlying binary double.
+    rather than the underlying binary double.  A Fraction is immutable
+    and comes back as the same object.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, (Fraction, int)):

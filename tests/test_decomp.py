@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_channel
-from timtin import decomp
+from timtin import decomp, evaluator
 from timtin.fixtures import MOVABLE_WEAK_LINK, baseline_map, five_user_network, improved_map
 from timtin.model import (
     ChannelMatrix,
@@ -217,6 +217,49 @@ def test_search_results_in_mask_order(cap):
         assert masks == sorted(masks)
         assert masks == [first_mask[r.verified] for r in group]
     assert [r.verdict for r in results] == sorted((r.verdict for r in results), reverse=True)
+
+
+def test_search_verifies_each_distinct_scheme_once(monkeypatch):
+    cm = random_channel(random.Random(7), 4, cross_prob=0.6)
+    synthesize, user_gdof = decomp.synthesize_scheme, evaluator.user_gdof
+    schemes, calls = [], []
+
+    def record_scheme(*args):
+        schemes.append(synthesize(*args))
+        return schemes[-1]
+
+    def counted_user_gdof(*args):
+        calls.append(args)
+        return user_gdof(*args)
+
+    monkeypatch.setattr(decomp, "synthesize_scheme", record_scheme)
+    monkeypatch.setattr(evaluator, "user_gdof", counted_user_gdof)
+    decomp.search(cm)
+    assert len(schemes) == 1 << len(cm.cross_links())
+    assert len(set(schemes)) < len(schemes)  # some maps share a scheme
+    assert len(calls) == cm.K * len(set(schemes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_frontier_equals_all_pairs_dominance_filter(seed):
+    """search's frontier is the passed tuples no other passed tuple
+    dominates, each from its first (lowest) mask, in mask order."""
+    rng = random.Random(seed)
+    K = rng.randint(1, 4)
+    cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]))
+    budget = decomp.SearchBudget(exhaustive_cap=6)
+    links = cm.cross_links()
+    passed = {}
+    for mask in decomp.candidate_masks(cm, budget):
+        result = decomp.evaluate_map(cm, decomp._mask_to_map(links, mask))
+        if result.verdict:
+            passed.setdefault(result.verified, result)
+    expected = [
+        res for tup, res in passed.items()
+        if not any(o != tup and all(a >= b for a, b in zip(o, tup)) for o in passed)
+    ]
+    assert [r for r in decomp.search(cm, budget) if r.verdict] == expected
 
 
 def test_time_share_identity_and_mixing(baseline_result, improved_result):

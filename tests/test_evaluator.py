@@ -16,6 +16,7 @@ from oracles import (
     random_weighted_vectors,
     single_stream_gdof,
 )
+from timtin import evaluator
 from timtin.evaluator import (
     gdof_report,
     logdet_exponent,
@@ -168,6 +169,31 @@ def test_order_of_pairs_and_of_other_users_streams_is_irrelevant(seed):
     own = {u: iter(scheme.streams_of(u)) for u in range(K)}
     interleaved = Scheme(scheme.n, tuple(next(own[u]) for u in slots))
     assert gdof_report(interleaved, cm) == gdof_report(scheme, cm)
+
+
+def test_gdof_report_takes_each_determinant_once(monkeypatch):
+    logdet = evaluator.logdet_exponent
+    calls = []
+
+    def counted_logdet(pairs):
+        calls.append(pairs)
+        return logdet(pairs)
+
+    rng = random.Random(11)
+    for _ in range(30):
+        K = rng.randint(1, 4)
+        cm = random_channel(rng, K)
+        scheme = random_scheme(rng, K)
+        if rng.random() < 0.3:  # a user without streams
+            silent = rng.randrange(K)
+            scheme = Scheme(scheme.n, tuple(s for s in scheme.streams if s.user != silent))
+        calls.clear()
+        monkeypatch.setattr(evaluator, "logdet_exponent", counted_logdet)
+        report = gdof_report(scheme, cm)
+        monkeypatch.undo()
+        assert len(calls) == sum(len(scheme.streams_of(k)) + 1 for k in range(K))
+        assert report.users == tuple(user_gdof(scheme, cm, k) for k in range(K))
+        assert report.per_stream == tuple(successive_gdof(scheme, cm, k) for k in range(K))
 
 
 @settings(max_examples=60, deadline=None)

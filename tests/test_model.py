@@ -40,6 +40,13 @@ def test_to_fraction_exact_decimal():
     assert to_fraction(7) == 7
 
 
+def test_to_fraction_returns_a_fraction_unchanged():
+    x = Fraction(7, 3)
+    assert to_fraction(x) is x
+    with pytest.raises(TypeError):
+        to_fraction(True)
+
+
 def test_format_rational():
     assert format_rational(Fraction(3, 10)) == "0.3"
     assert format_rational(Fraction(-2, 5)) == "-0.4"
