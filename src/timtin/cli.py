@@ -68,7 +68,7 @@ def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
         raise MalformedDocument("frontier entries must be objects")
     try:
         return [[to_fraction(x) for x in document_list(e.get("verified"), "verified")] for e in entries]
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"verified: {exc}") from None
 
 

@@ -67,21 +67,13 @@ class DecompositionResult:
 
 
 def split(channel: ChannelMatrix, dmap: DecompositionMap):
-    """Split a channel into its TIN sub-channel (TIM-tagged links zeroed)
-    and TIM topology (exactly the TIM-tagged links)."""
-    present = set(channel.cross_links())
-    if dmap.links != present:
+    """Split a channel's cross links into its TIN link set (treated as
+    noise) and its TIM topology (exactly the TIM-tagged links)."""
+    if dmap.links != channel.link_set:
         raise MapMismatch(
-            f"map covers {sorted(dmap.links)} but present cross links are {sorted(present)}"
+            f"map covers {sorted(dmap.links)} but present cross links are {sorted(channel.link_set)}"
         )
-    alpha = [
-        tuple(
-            Fraction(0) if (k, i) in dmap.tim_links else channel.alpha[k][i]
-            for i in range(channel.K)
-        )
-        for k in range(channel.K)
-    ]
-    return ChannelMatrix(channel.K, tuple(alpha)), TimTopology(channel.K, dmap.tim_links)
+    return dmap.tin_links, TimTopology(channel.K, dmap.tim_links)
 
 
 def synthesize_scheme(
@@ -113,11 +105,11 @@ def evaluate_map(
     its verified tuple; search passes one dict per call, so each distinct
     scheme is verified once per search.  Products and the verdict are
     still computed per map."""
-    tin_channel, tim_topology = split(channel, dmap)
-    _, tin_sol = tin.tin_symmetric(tin_channel)
+    tin_links, tim_topology = split(channel, dmap)
+    _, tin_sol = tin.tin_symmetric(channel, tin_links)
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
-    tin_fractions = tin.single_level_gdof(tin_channel, tin_sol.r)
+    tin_fractions = tin.single_level_gdof(channel, tin_sol.r, tin_links)
     tim_sol = tim_solve(tim_topology, colorings)
     products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
     scheme = synthesize_scheme(tin_sol, tim_sol, channel)

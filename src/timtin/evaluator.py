@@ -4,8 +4,12 @@ The exact path works at the exponent level: the high-power exponent of a
 log-determinant of a weighted sum of rank-one terms equals the maximum,
 over linearly independent subsets of the beamforming vectors, of the sum
 of their receive power exponents.  A greedy sweep in descending exponent
-order with an exact rational rank test attains that maximum (linear
-matroid + sorted weights), so no epsilon ever enters the GDoF path.
+order with an exact rank test attains that maximum (linear matroid +
+sorted weights), so no epsilon ever enters the GDoF path.  The sweep runs
+on Python ints: each scheme clears its vectors' denominators once
+(``Scheme.rows``), and receiver k's exponents are scaled by one lcm E of
+the channel's strength scale and the power-exponent denominators; only
+the resulting GDoF values become Fractions.
 
 A finite-power numerical oracle evaluates the actual achievable rates in
 floating point for cross-checking slopes against exact GDoF values.  Its
@@ -33,6 +37,7 @@ from .model import (
     NumericalFailure,
     Scheme,
     UserGdof,
+    integer_row,
 )
 
 # Beyond this power the spread of covariance eigenvalues exhausts double
@@ -40,15 +45,17 @@ from .model import (
 MAX_ORACLE_POWER = 1e12
 
 
-def logdet_exponent(pairs: Sequence[tuple[Sequence[Fraction], Fraction]]) -> Fraction:
+def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fraction | int:
     """High-power exponent of log det(I + sum_i P^{e_i} v_i v_i^T).
 
     ``pairs`` are (v_i, e_i).  Pairs with e_i < 0 sit below the unit noise
     floor and are skipped.  The rest are sorted by exponent descending and
     kept greedily iff linearly independent of the pairs already kept; the
-    result is the sum of kept exponents.  Greedy on a linear matroid with
+    result is the sum of kept exponents, so integer exponents (as the
+    evaluator passes) give an integer.  Greedy on a linear matroid with
     sorted weights maximizes the sum, so the order among equal exponents
-    never changes the value.
+    never changes the value.  A vector with a non-integer coordinate enters
+    the rank test as its integer_row.
     """
     if not pairs:
         return Fraction(0)
@@ -61,10 +68,9 @@ def logdet_exponent(pairs: Sequence[tuple[Sequence[Fraction], Fraction]]) -> Fra
     ordered = sorted((p for p in pairs if p[1] >= 0), key=lambda p: -p[1])
     basis: list[list[int]] = []  # gcd-reduced integer echelon rows
     pivots: list[int] = []
-    total = Fraction(0)
+    total = 0 * pairs[0][1]  # zero of the exponents' type
     for vector, exponent in ordered:
-        scale = math.lcm(*(c.denominator for c in vector))
-        v = [c.numerator * (scale // c.denominator) for c in vector]
+        v = vector if all(type(c) is int for c in vector) else integer_row(vector)
         for row, j in zip(basis, pivots):
             c = v[j]
             if c:
@@ -94,32 +100,42 @@ def _undecoded(users: Sequence[int], k: int, decoded: int) -> list[bool]:
 
 def _exponents_after(
     scheme: Scheme, channel: ChannelMatrix, k: int, decodeds: Iterable[int]
-) -> list[Fraction]:
-    """Receiver k's log-det exponent after each number of decoded own streams."""
+) -> tuple[list[int], int]:
+    """Receiver k's log-det exponents after each number of decoded own
+    streams, as integers over one denominator E, returned alongside."""
+    S = channel.scale
+    E = math.lcm(S, *(s.power_exp.denominator for s in scheme.streams))
+    row = channel.scaled[k]
     users = [s.user for s in scheme.streams]
-    row = channel.alpha[k]
-    pairs = [(s.vector, row[s.user] + s.power_exp) for s in scheme.streams]
-    return [logdet_exponent(list(compress(pairs, _undecoded(users, k, d)))) for d in decodeds]
+    pairs = [
+        (vector, row[s.user] * (E // S) + s.power_exp.numerator * (E // s.power_exp.denominator))
+        for vector, s in zip(scheme.rows, scheme.streams)
+    ]
+    exps = [logdet_exponent(list(compress(pairs, _undecoded(users, k, d)))) for d in decodeds]
+    return exps, E
 
 
-def _user_from(k: int, combined: Fraction, interference: Fraction, n: int) -> UserGdof:
-    """User k's GDoF from the exponents with none and all of its streams decoded."""
+def _user_from(k: int, combined: int, interference: int, n: int, E: int) -> UserGdof:
+    """User k's GDoF from the exponents (over E) with none and all of its
+    streams decoded."""
     if combined < interference:  # interference pairs are a subset
         raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
-    return UserGdof(combined, interference, (combined - interference) / n)
+    return UserGdof(
+        Fraction(combined, E), Fraction(interference, E), Fraction(combined - interference, n * E)
+    )
 
 
-def _per_stream(exps: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Per-stream GDoF from the exponents after 0..b decoded streams."""
-    return tuple((exps[l] - exps[l + 1]) / n for l in range(len(exps) - 1))
+def _per_stream(exps: Sequence[int], n: int, E: int) -> tuple[Fraction, ...]:
+    """Per-stream GDoF from the exponents (over E) after 0..b decoded streams."""
+    return tuple(Fraction(exps[l] - exps[l + 1], n * E) for l in range(len(exps) - 1))
 
 
 def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     """GDoF of user k: exponents of the two determinants and their scaled
     difference."""
     b = len(scheme.streams_of(k))
-    combined, interference = _exponents_after(scheme, channel, k, (0, b))
-    return _user_from(k, combined, interference, scheme.n)
+    (combined, interference), E = _exponents_after(scheme, channel, k, (0, b))
+    return _user_from(k, combined, interference, scheme.n, E)
 
 
 def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fraction, ...]:
@@ -130,7 +146,8 @@ def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fra
     their sum equals user_gdof(k) exactly.
     """
     b = len(scheme.streams_of(k))
-    return _per_stream(_exponents_after(scheme, channel, k, range(b + 1)), scheme.n)
+    exps, E = _exponents_after(scheme, channel, k, range(b + 1))
+    return _per_stream(exps, scheme.n, E)
 
 
 def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
@@ -142,9 +159,9 @@ def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
     per_stream = []
     for k in range(channel.K):
         b = len(scheme.streams_of(k))
-        exps = _exponents_after(scheme, channel, k, range(b + 1))
-        u = _user_from(k, exps[0], exps[b], scheme.n)
-        sc = _per_stream(exps, scheme.n)
+        exps, E = _exponents_after(scheme, channel, k, range(b + 1))
+        u = _user_from(k, exps[0], exps[b], scheme.n, E)
+        sc = _per_stream(exps, scheme.n, E)
         if sum(sc, Fraction(0)) != u.gdof:
             raise InvariantViolation(f"user {k}: per-stream GDoF does not sum to the user GDoF")
         if not 0 <= u.gdof <= channel.alpha[k][k]:

@@ -2,7 +2,9 @@
 reports and decomposition maps, plus validation and exact JSON round-trips.
 
 Strength exponents, power exponents and vector coordinates are
-`fractions.Fraction` end-to-end.  Decimal text such as "0.3" is parsed as
+`fractions.Fraction` at every interface; channels and scheme vectors also
+carry an integer form, built once per object on first use, for the TIN
+solver and the exact evaluator.  Decimal text such as "0.3" is parsed as
 the exact decimal fraction 3/10; binary floats never leak into the
 arithmetic (they only appear in the finite-power oracle).  All types are
 frozen after construction and safe to share between concurrent workers.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -73,7 +77,7 @@ class BudgetOutOfRange(DomainError):
 def to_fraction(value: object) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 
-    Strings may be decimal ("0.3" -> 3/10, "2e-1" -> 1/5) or "p/q".
+    Strings may be decimal ("0.3" -> 3/10, "2e-1" -> 1/5) or "p/q", q != 0.
     Floats go through their shortest decimal repr, so 0.3 means 3/10
     rather than the underlying binary double.  A Fraction is immutable
     and comes back as the same object.
@@ -89,7 +93,10 @@ def to_fraction(value: object) -> Fraction:
             raise ValueError(f"non-finite value {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -144,6 +151,17 @@ class ChannelMatrix:
             if self.alpha[k][k] <= 0:
                 raise ZeroDirectLink(k)
 
+    @cached_property
+    def scale(self) -> int:
+        """S, the lcm of the strength denominators."""
+        return lcm(*(x.denominator for row in self.alpha for x in row))
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], ...]:
+        """A = S * alpha: the strengths as integers."""
+        S = self.scale
+        return tuple(tuple(x.numerator * (S // x.denominator) for x in row) for row in self.alpha)
+
     def cross_links(self) -> tuple[tuple[int, int], ...]:
         """Present cross links as sorted (receiver, transmitter) pairs."""
         return tuple(
@@ -152,6 +170,11 @@ class ChannelMatrix:
             for i in range(self.K)
             if k != i and self.alpha[k][i] > 0
         )
+
+    @cached_property
+    def link_set(self) -> frozenset[tuple[int, int]]:
+        """The present cross links as a set."""
+        return frozenset(self.cross_links())
 
 
 def validate_channel(raw) -> ChannelMatrix:
@@ -174,6 +197,13 @@ def validate_channel(raw) -> ChannelMatrix:
             raise NonSquare(f"row of length {len(entries)} in a {K}-user matrix")
         parsed.append(tuple(e if e > 0 else Fraction(0) for e in entries))
     return ChannelMatrix(K, tuple(parsed))
+
+
+def integer_row(vector: Sequence) -> tuple[int, ...]:
+    """A rational vector times the lcm of its denominators: a nonzero
+    integer multiple of it, so it spans the same line."""
+    m = lcm(*(c.denominator for c in vector))
+    return tuple(c.numerator * (m // c.denominator) for c in vector)
 
 
 @dataclass(frozen=True)
@@ -219,6 +249,11 @@ class Scheme:
 
     def streams_of(self, user: int) -> tuple[Stream, ...]:
         return tuple(s for s in self.streams if s.user == user)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each stream's vector as an integer row (see integer_row)."""
+        return tuple(integer_row(s.vector) for s in self.streams)
 
 
 def validate_scheme(scheme: Scheme, channel: ChannelMatrix) -> Scheme:
@@ -339,7 +374,7 @@ def parse_topology(text: str) -> ChannelMatrix:
     rows = [document_list(row, "alpha row") for row in document_list(doc["alpha"], "alpha")]
     try:
         channel = validate_channel(rows)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"topology: {exc}") from None
     declared = document_int(doc.get("K", channel.K), "K")
     if declared != channel.K:
@@ -373,7 +408,7 @@ def parse_scheme(text: str) -> Scheme:
             for entry in entries
         ]
         return Scheme(document_int(doc["n"], "n"), tuple(streams))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedDocument(f"scheme: {exc}") from None
 
 

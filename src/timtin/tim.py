@@ -232,7 +232,7 @@ def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
     fractions = [Fraction(1)] * K
     directions: list[tuple[tuple[Fraction, ...], ...]] = [()] * K
     for u in range(K):
-        if u not in set(active):
+        if not conf_adj[u]:  # inactive: keeps its whole space
             directions[u] = tuple(_basis_vector(n, j) for j in range(n))
     for block, local, fraction, _ in plans:
         replicas = n // block

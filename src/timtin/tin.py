@@ -2,12 +2,13 @@
 
 Feasibility of a target GDoF tuple reduces to a system of difference
 constraints on the power exponents: r_k <= 0, r_k >= d_k - a_kk, and
-r_k - r_j >= d_k - a_kk + a_kj for every present cross link (k, j) with a
-positive target d_k (a zero target imposes nothing, since treating
-everything as noise always yields at least zero).  The system is decided
-by negative-cycle detection on the constraint graph; shortest-path
+r_k - r_j >= d_k - a_kk + a_kj for every cross link (k, j) treated as
+noise with a positive target d_k (a zero target imposes nothing, since
+treating everything as noise always yields at least zero).  The system is
+decided by negative-cycle detection on the constraint graph; shortest-path
 potentials from the zero anchor are the componentwise-maximal feasible
-exponents.
+exponents.  Each solver takes the channel and the cross links treated as
+noise (default: all present ones); other cross links are ignored.
 
 For the symmetric target (t, ..., t) every edge leaving a user node
 weighs a constant minus t, so a cycle with cost c (its weight at t = 0)
@@ -15,9 +16,14 @@ and count m (its edges leaving user nodes) stays nonnegative exactly
 while t <= c / m.  The symmetric optimum is therefore the minimum
 cost-to-count cycle ratio floored at 0 (the cyclic bounds of the TIN
 region; the cycle through user k's own direct-link constraint has ratio
-a_kk).  Dinkelbach's iteration finds it exactly in rational arithmetic,
-with two certificates: a feasible point at t*, and a negative cycle of
-ratio at most t*, which stays negative at every larger t.
+a_kk).  Dinkelbach's iteration finds it exactly, with two certificates: a
+feasible point at t*, and a negative cycle of ratio at most t*, which
+stays negative at every larger t.
+
+The arithmetic runs on Python ints, scaled by the channel's S (A = S *
+alpha): targets are d_k = D_k / (m * S) for one integer m, so an edge from
+user k to j weighs m * (A_kk - A_kj) - D_k, and Dinkelbach keeps t as the
+pair (C, m) of t = C / (m * S).  Values become Fractions in a TinSolution.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .model import ChannelMatrix, InvariantViolation, to_fraction
 
 # Constraint edges are (u, v, w) meaning r_v - r_u <= w; node K is the
 # anchor pinned to 0.
 Edge = tuple[int, int, Fraction]
+Links = AbstractSet[tuple[int, int]]
+
 
 @dataclass(frozen=True)
 class TinSolution:
@@ -47,51 +55,48 @@ class TinSolution:
     negative_cycle: tuple[Edge, ...] | None
 
 
-def single_level_gdof(channel: ChannelMatrix, r: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _heard(channel: ChannelMatrix, links: Links | None) -> list[list[int]]:
+    """Per receiver k, the transmitters j of present links (k, j) in links."""
+    links = channel.link_set if links is None else links
+    return [
+        [j for j, a in enumerate(row) if a and j != k and (k, j) in links]
+        for k, row in enumerate(channel.scaled)
+    ]
+
+
+def single_level_gdof(
+    channel: ChannelMatrix, r: Sequence[Fraction], links: Links | None = None
+) -> tuple[Fraction, ...]:
     """GDoF tuple of the one-stream-per-user, single-use scheme with power
-    exponents r, treating all interference as noise."""
-    out = []
-    for k in range(channel.K):
-        interference = [
-            channel.alpha[k][j] + r[j]
-            for j in range(channel.K)
-            if j != k and channel.alpha[k][j] > 0
-        ]
-        strongest = max([Fraction(0), *interference])
-        out.append(max(Fraction(0), channel.alpha[k][k] + r[k] - strongest))
-    return tuple(out)
+    exponents r, treating the interference of ``links`` as noise."""
+    m, S, A = lcm(*(x.denominator for x in r)), channel.scale, channel.scaled
+    R = [x.numerator * (m // x.denominator) * S for x in r]  # m * S * r
+    return tuple(
+        Fraction(max(0, m * A[k][k] + R[k] - max([0, *(m * A[k][j] + R[j] for j in heard)])), m * S)
+        for k, heard in enumerate(_heard(channel, links))
+    )
 
 
-def _edges(channel: ChannelMatrix, targets: Sequence[Fraction]) -> list[Edge]:
-    K = channel.K
-    edges: list[Edge] = [(K, k, Fraction(0)) for k in range(K)]  # r_k <= 0
-    for k in range(K):
-        if targets[k] <= 0:
-            continue
-        edges.append((k, K, channel.alpha[k][k] - targets[k]))  # r_k >= d_k - a_kk
-        for j in range(K):
-            if j != k and channel.alpha[k][j] > 0:
-                # r_k - r_j >= d_k - a_kk + a_kj
-                edges.append((k, j, channel.alpha[k][k] - channel.alpha[k][j] - targets[k]))
+def _edges(channel: ChannelMatrix, links: Links | None, m: int, D: Sequence[int]):
+    K, A = channel.K, channel.scaled
+    edges = [(K, k, 0) for k in range(K)]  # r_k <= 0
+    for k, heard in enumerate(_heard(channel, links)):
+        if D[k] > 0:
+            own = m * A[k][k] - D[k]
+            edges.append((k, K, own))  # r_k >= d_k - a_kk
+            edges.extend((k, j, own - m * A[k][j]) for j in heard)  # r_k - r_j >= d_k - a_kk + a_kj
     return edges
 
 
-def _bellman_ford(n_nodes: int, edges: list[Edge], source: int):
-    """Shortest paths from source; returns (dist, None) or (None, negative_cycle).
-
-    Weights are scaled once by the lcm of their denominators so the
-    relaxation runs on Python ints; relaxation order, and so the returned
-    distances and cycle, are those of the rational weights.
-    """
-    scale = lcm(*(w.denominator for _, _, w in edges))
-    scaled = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
+def _bellman_ford(n_nodes: int, edges, source: int):
+    """Shortest paths from source; returns (dist, None) or (None, negative_cycle)."""
     dist = [None] * n_nodes
     dist[source] = 0
     pred = [-1] * n_nodes
     trigger = -1
-    for round_ in range(n_nodes):
+    for _ in range(n_nodes):
         changed = False
-        for idx, (u, v, w) in enumerate(scaled):
+        for idx, (u, v, w) in enumerate(edges):
             du = dist[u]
             if du is not None and (dist[v] is None or du + w < dist[v]):
                 dist[v] = du + w
@@ -99,7 +104,7 @@ def _bellman_ford(n_nodes: int, edges: list[Edge], source: int):
                 changed = True
                 trigger = v
         if not changed:
-            return [None if d is None else Fraction(d, scale) for d in dist], None
+            return dist, None
     # still relaxing after n_nodes rounds: walk predecessors into the cycle
     x = trigger
     for _ in range(n_nodes):
@@ -113,27 +118,31 @@ def _bellman_ford(n_nodes: int, edges: list[Edge], source: int):
         if y == x:
             break
     cycle.reverse()
-    return None, tuple(cycle)
+    return None, cycle
 
 
-def tin_feasible(channel: ChannelMatrix, targets: Sequence) -> TinSolution:
+def tin_feasible(channel: ChannelMatrix, targets: Sequence, links: Links | None = None) -> TinSolution:
     """Decide whether the target GDoF tuple is achievable by power control
-    with interference treated as noise."""
+    with the interference of ``links`` treated as noise."""
+    K, S = channel.K, channel.scale
     d = tuple(to_fraction(t) for t in targets)
-    if len(d) != channel.K:
-        raise ValueError(f"expected {channel.K} targets, got {len(d)}")
-    if any(t < 0 for t in d):
+    if len(d) != K:
+        raise ValueError(f"expected {K} targets, got {len(d)}")
+    m = lcm(*(t.denominator for t in d))
+    D = [t.numerator * (m // t.denominator) * S for t in d]
+    if any(x < 0 for x in D):
         raise ValueError("targets must be nonnegative")
-    dist, cycle = _bellman_ford(channel.K + 1, _edges(channel, d), channel.K)
+    dist, cycle = _bellman_ford(K + 1, _edges(channel, links, m, D), K)
     if cycle is not None:
-        return TinSolution(False, None, cycle)
-    if dist[channel.K] != 0:
+        return TinSolution(False, None, tuple((u, v, Fraction(w, m * S)) for u, v, w in cycle))
+    if dist[K] != 0:
         raise InvariantViolation("TIN anchor potential moved without a negative cycle")
-    return TinSolution(True, tuple(dist[: channel.K]), None)
+    return TinSolution(True, tuple(Fraction(x, m * S) for x in dist[:K]), None)
 
 
-def tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSolution]:
-    """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible.
+def tin_symmetric(channel: ChannelMatrix, links: Links | None = None) -> tuple[Fraction, TinSolution]:
+    """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible
+    with the interference of ``links`` treated as noise.
 
     Dinkelbach iteration on the constraint graph: start at the smallest
     direct strength; while (t, ..., t) has a negative cycle, lower t to
@@ -143,12 +152,15 @@ def tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSolution]:
     cycle of the weakest user) has ratio at most t, so it is negative at
     every larger target.
     """
-    t = min(channel.alpha[k][k] for k in range(channel.K))
+    K, S, A = channel.K, channel.scale, channel.scaled
+    C, m = min(A[k][k] for k in range(K)), 1
     while True:
-        sol = tin_feasible(channel, [t] * channel.K)
+        t = Fraction(C, m * S)
+        sol = tin_feasible(channel, [t] * K, links)
         if sol.feasible:
             return t, sol
-        # Edges leaving a user node weigh (constant - t); anchor edges weigh 0.
-        count = sum(1 for u, _, _ in sol.negative_cycle if u != channel.K)
-        total = sum((w for _, _, w in sol.negative_cycle), Fraction(0))
-        t = max(Fraction(0), (total + count * t) / count)
+        # Edges leaving user u cost S * (a_uu - a_uv), or S * a_uu into the
+        # anchor; edges leaving the anchor cost 0.
+        user_edges = [(u, v) for u, v, _ in sol.negative_cycle if u != K]
+        cost = sum(A[u][u] - (A[u][v] if v != K else 0) for u, v in user_edges)
+        C, m = (cost, len(user_edges)) if cost > 0 else (0, 1)

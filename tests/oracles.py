@@ -10,10 +10,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 
-from timtin.model import ChannelMatrix, Scheme, Stream
+from timtin.model import ChannelMatrix, InvariantViolation, Scheme, Stream, to_fraction
+from timtin.tin import Edge, TinSolution
 
 
 def rank_of(vectors) -> int:
@@ -130,8 +133,119 @@ def symmetric_tin_optimum(channel: ChannelMatrix) -> Fraction:
     return min(max(Fraction(0), min(ratios)), min(a[k][k] for k in range(K)))
 
 
+# --- reference TIN solver: the library's earlier Fraction implementation,
+# kept verbatim (its single_level_gdof is single_stream_gdof above).  It
+# takes the TIN sub-channel (cross links outside the TIN set zeroed) where
+# the library takes the channel plus its TIN link set.
+
+
+def tin_subchannel(channel: ChannelMatrix, links) -> ChannelMatrix:
+    """The channel with every cross link outside ``links`` zeroed."""
+    return ChannelMatrix(channel.K, tuple(
+        tuple(a if k == i or (k, i) in links else Fraction(0) for i, a in enumerate(row))
+        for k, row in enumerate(channel.alpha)
+    ))
+
+
+def _reference_edges(channel: ChannelMatrix, targets: Sequence[Fraction]) -> list[Edge]:
+    K = channel.K
+    edges: list[Edge] = [(K, k, Fraction(0)) for k in range(K)]  # r_k <= 0
+    for k in range(K):
+        if targets[k] <= 0:
+            continue
+        edges.append((k, K, channel.alpha[k][k] - targets[k]))  # r_k >= d_k - a_kk
+        for j in range(K):
+            if j != k and channel.alpha[k][j] > 0:
+                # r_k - r_j >= d_k - a_kk + a_kj
+                edges.append((k, j, channel.alpha[k][k] - channel.alpha[k][j] - targets[k]))
+    return edges
+
+
+def _reference_bellman_ford(n_nodes: int, edges: list[Edge], source: int):
+    """Shortest paths from source; returns (dist, None) or (None, negative_cycle).
+
+    Weights are scaled once by the lcm of their denominators so the
+    relaxation runs on Python ints; relaxation order, and so the returned
+    distances and cycle, are those of the rational weights.
+    """
+    scale = lcm(*(w.denominator for _, _, w in edges))
+    scaled = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
+    dist = [None] * n_nodes
+    dist[source] = 0
+    pred = [-1] * n_nodes
+    trigger = -1
+    for round_ in range(n_nodes):
+        changed = False
+        for idx, (u, v, w) in enumerate(scaled):
+            du = dist[u]
+            if du is not None and (dist[v] is None or du + w < dist[v]):
+                dist[v] = du + w
+                pred[v] = idx
+                changed = True
+                trigger = v
+        if not changed:
+            return [None if d is None else Fraction(d, scale) for d in dist], None
+    # still relaxing after n_nodes rounds: walk predecessors into the cycle
+    x = trigger
+    for _ in range(n_nodes):
+        x = edges[pred[x]][0]
+    cycle = []
+    y = x
+    while True:
+        edge = edges[pred[y]]
+        cycle.append(edge)
+        y = edge[0]
+        if y == x:
+            break
+    cycle.reverse()
+    return None, tuple(cycle)
+
+
+def reference_tin_feasible(channel: ChannelMatrix, targets: Sequence) -> TinSolution:
+    """Decide whether the target GDoF tuple is achievable by power control
+    with interference treated as noise."""
+    d = tuple(to_fraction(t) for t in targets)
+    if len(d) != channel.K:
+        raise ValueError(f"expected {channel.K} targets, got {len(d)}")
+    if any(t < 0 for t in d):
+        raise ValueError("targets must be nonnegative")
+    dist, cycle = _reference_bellman_ford(channel.K + 1, _reference_edges(channel, d), channel.K)
+    if cycle is not None:
+        return TinSolution(False, None, cycle)
+    if dist[channel.K] != 0:
+        raise InvariantViolation("TIN anchor potential moved without a negative cycle")
+    return TinSolution(True, tuple(dist[: channel.K]), None)
+
+
+def reference_tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSolution]:
+    """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible.
+
+    Dinkelbach iteration on the constraint graph: start at the smallest
+    direct strength; while (t, ..., t) has a negative cycle, lower t to
+    that cycle's cost-to-count ratio, clamped at 0.  The first feasible t
+    is the exact optimum: the returned solution is feasible there, and the
+    last cycle found (or, when the start is feasible, the direct-link
+    cycle of the weakest user) has ratio at most t, so it is negative at
+    every larger target.
+    """
+    t = min(channel.alpha[k][k] for k in range(channel.K))
+    while True:
+        sol = reference_tin_feasible(channel, [t] * channel.K)
+        if sol.feasible:
+            return t, sol
+        # Edges leaving a user node weigh (constant - t); anchor edges weigh 0.
+        count = sum(1 for u, _, _ in sol.negative_cycle if u != channel.K)
+        total = sum((w for _, _, w in sol.negative_cycle), Fraction(0))
+        t = max(Fraction(0), (total + count * t) / count)
+
+
 # --- random instance generators (all on coarse rational grids so exponent
 # gaps stay bounded away from zero wherever float oracles are involved) ---
+
+# Strengths over the coprime denominators 97, 101 and 103, so that TIN's
+# cycle ratios mix denominators and Dinkelbach steps count several edges.
+MIXED_DIAG = [Fraction(n, d) for d in (97, 101, 103) for n in (d // 2 + 7, d + 3, 3 * d // 2 + 1)]
+MIXED_CROSS = [Fraction(n, d) for d in (97, 101, 103) for n in (d // 4 + 1, d // 2 + 3, 3 * d // 4 + 5)]
 
 
 def random_weighted_vectors(rng: random.Random, max_m=8, max_n=4):

@@ -35,8 +35,8 @@ def _report(number: int, description: str, ok: bool, elapsed: float | None = Non
 
 def test_criterion_1_tin_symmetric_value(network5):
     start = time.perf_counter()
-    tin_channel, _ = decomp.split(network5, baseline_map())
-    d_sym, _ = tin.tin_symmetric(tin_channel)
+    tin_links, _ = decomp.split(network5, baseline_map())
+    d_sym, _ = tin.tin_symmetric(network5, tin_links)
     elapsed = time.perf_counter() - start
     _report(
         1,

@@ -208,6 +208,10 @@ def test_timeshare_weight_mismatch(files, capsys, tmp_path):
         ("eval", "-s", {"n": 1, "streams": [{"user": 1.5, "vector": ["1"], "power_exp": "0"}]}),
         ("eval", "-s", {"n": 1, "streams": [{"user": True, "vector": ["1"], "power_exp": "0"}]}),
         ("eval", "-s", {"n": 1.5, "streams": []}),
+        ("tin", "-t", {"K": 1, "alpha": [["1/0"]]}),
+        ("eval", "-s", {"n": 1, "streams": [{"user": 1, "vector": ["1/0"], "power_exp": "0"}]}),
+        ("eval", "-s", {"n": 1, "streams": [{"user": 1, "vector": ["1"], "power_exp": "-1/0"}]}),
+        ("timeshare", "-r", {"frontier": [{"verified": ["1/0"]}]}),
     ],
 )
 def test_malformed_documents_are_domain_errors(files, capsys, tmp_path, command, option, document):
@@ -260,6 +264,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 2
+    # a rational option with a zero denominator is a usage error too
+    for argv in (
+        ["tin", "-t", "topo.json", "--target", "1/0,1"],
+        ["tim", "-t", "topo.json", "--threshold", "1/0"],
+        ["timeshare", "-r", "report.json", "-w", "1/0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_byte_identical_output(files, capsys):

@@ -9,7 +9,6 @@ from oracles import random_channel
 from timtin import decomp, evaluator
 from timtin.fixtures import MOVABLE_WEAK_LINK, baseline_map, five_user_network, improved_map
 from timtin.model import (
-    ChannelMatrix,
     DecompositionMap,
     MapMismatch,
     WeightMismatch,
@@ -20,11 +19,10 @@ from timtin.tim import TimTopology, tim_solve
 
 
 def test_split_reference_components(network5):
-    tin_channel, tim_topology = decomp.split(network5, baseline_map())
-    # TIN side keeps diagonals and weak links only
-    assert tin_channel.alpha[0][1] == Fraction(1, 2)
-    assert tin_channel.alpha[0][3] == 0
-    assert all(tin_channel.alpha[k][k] == 1 for k in range(5))
+    tin_links, tim_topology = decomp.split(network5, baseline_map())
+    # TIN side keeps the weak links only
+    assert (0, 1) in tin_links and (0, 3) not in tin_links
+    assert {network5.alpha[k][i] for k, i in tin_links} == {Fraction(1, 2)}
     assert tim_topology.links == baseline_map().tim_links
 
 
@@ -34,21 +32,10 @@ def test_split_is_lossless(network5):
     for _ in range(20):
         tim = frozenset(l for l in links if rng.random() < 0.5)
         dmap = DecompositionMap(tim, frozenset(links) - tim)
-        tin_channel, tim_topology = decomp.split(network5, dmap)
-        assert tim_topology.links | {
-            (k, i) for k, i in links if tin_channel.alpha[k][i] > 0
-        } == set(links)
-        assert tim_topology.links.isdisjoint(
-            {(k, i) for k, i in links if tin_channel.alpha[k][i] > 0}
-        )
-        rebuilt = [
-            [
-                network5.alpha[k][i] if (k, i) in tim_topology.links else tin_channel.alpha[k][i]
-                for i in range(5)
-            ]
-            for k in range(5)
-        ]
-        assert ChannelMatrix(5, tuple(tuple(r) for r in rebuilt)) == network5
+        tin_links, tim_topology = decomp.split(network5, dmap)
+        assert tim_topology.links | tin_links == set(links)
+        assert tim_topology.links.isdisjoint(tin_links)
+        assert (tin_links, tim_topology.links) == (dmap.tin_links, dmap.tim_links)
 
 
 def test_split_rejects_wrong_map(network5):

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    MIXED_CROSS,
+    MIXED_DIAG,
     max_weight_independent_sum,
     random_channel,
     random_scheme,
@@ -78,6 +80,48 @@ def test_matches_brute_force_on_random_instances():
     for _ in range(100):
         raw = random_weighted_vectors(rng)
         assert logdet_exponent(raw) == max_weight_independent_sum(raw)
+
+
+def _rational_scheme(rng: random.Random, K: int) -> Scheme:
+    """Rational coordinates and power exponents over mixed denominators;
+    some streams arrive below the noise floor at some receivers."""
+    n = rng.randint(1, 3)
+    streams = []
+    for user in range(K):
+        for _ in range(rng.randint(0, 2)):
+            vector = [Fraction(0)] * n
+            while not any(vector):
+                vector = [Fraction(rng.randint(-4, 4), rng.choice([1, 3, 7, 97])) for _ in range(n)]
+            power = Fraction(-rng.randint(0, 160), rng.choice([4, 97, 101, 103]))
+            streams.append(Stream(user, tuple(vector), power))
+    rng.shuffle(streams)
+    return Scheme(n, tuple(streams))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_rational_schemes_match_brute_force(seed):
+    rng = random.Random(seed)
+    K = rng.randint(1, 4)
+    cm = random_channel(rng, K, diag_choices=MIXED_DIAG, cross_choices=MIXED_CROSS)
+    scheme = _rational_scheme(rng, K)
+    report = gdof_report(scheme, cm)
+    for k in range(K):
+        pairs = [(s.vector, cm.alpha[k][s.user] + s.power_exp) for s in scheme.streams]
+        own = [i for i, s in enumerate(scheme.streams) if s.user == k]
+        # exponents after decoding the first l own streams, l = 0..b
+        exps = [
+            max_weight_independent_sum([p for i, p in enumerate(pairs) if i not in own[:l]])
+            for l in range(len(own) + 1)
+        ]
+        assert logdet_exponent(pairs) == exps[0]
+        u = user_gdof(scheme, cm, k)
+        assert (u.combined_exp, u.interference_exp) == (exps[0], exps[-1])
+        assert u.gdof == (exps[0] - exps[-1]) / scheme.n
+        assert report.users[k] == u
+        assert report.per_stream[k] == tuple(
+            (exps[l] - exps[l + 1]) / scheme.n for l in range(len(own))
+        )
 
 
 def test_single_user_single_use():

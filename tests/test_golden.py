@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from oracles import random_channel
+from oracles import MIXED_CROSS, MIXED_DIAG, random_channel
 from timtin import cli
 from timtin.fixtures import five_user_network
 from timtin.model import emit_topology
@@ -27,6 +27,12 @@ NETWORKS = {
     "seeded4-threshold": (
         random_channel(random.Random(6), 4, cross_prob=0.6), ["--exhaustive-cap", "3"]
     ),
+    "seeded4-mixed": (
+        random_channel(
+            random.Random(11), 4, diag_choices=MIXED_DIAG, cross_choices=MIXED_CROSS, cross_prob=0.6
+        ),
+        [],
+    ),
 }
 
 GOLDEN = {
@@ -34,6 +40,7 @@ GOLDEN = {
     "seeded3": "985ec8fb3ceb9aa17caa58ad744c6cc170a37859155b753f505d3f4efc31cbc0",
     "seeded4": "df9b183313995016c0fa26790394e6d6c6543bb121309142c4382d031c753592",
     "seeded4-threshold": "9441ed424f9f30f035294c479915f27d1bd22c11f2b39f3f2b52d20ac60491cd",
+    "seeded4-mixed": "f6ed793458a5257bd4414b9df410b3336f6fe6130258af3ccd2c1ed3a5af0de5",
 }
 
 

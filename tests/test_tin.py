@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_tin_feasible, random_channel, single_stream_gdof, symmetric_tin_optimum
+from oracles import (
+    MIXED_CROSS,
+    MIXED_DIAG,
+    grid_tin_feasible,
+    random_channel,
+    reference_tin_feasible,
+    reference_tin_symmetric,
+    single_stream_gdof,
+    symmetric_tin_optimum,
+    tin_subchannel,
+)
 from timtin import decomp
 from timtin.fixtures import baseline_map, five_user_network, improved_map
 from timtin.model import validate_channel
@@ -13,8 +23,10 @@ from timtin.tin import single_level_gdof, tin_feasible, tin_symmetric
 
 
 def tin_component(dmap):
-    channel, _ = decomp.split(five_user_network(), dmap)
-    return channel
+    """The reference network and the map's TIN link set."""
+    network = five_user_network()
+    tin_links, _ = decomp.split(network, dmap)
+    return network, tin_links
 
 
 def test_no_cross_links_full_targets_feasible():
@@ -24,17 +36,17 @@ def test_no_cross_links_full_targets_feasible():
 
 
 def test_reference_weak_component_symmetric():
-    cm = tin_component(baseline_map())
-    d, sol = tin_symmetric(cm)
+    cm, links = tin_component(baseline_map())
+    d, sol = tin_symmetric(cm, links)
     assert d == Fraction(3, 5)
     assert sol.r == (0, Fraction(-1, 10), Fraction(-1, 5), Fraction(-3, 10), Fraction(-2, 5))
-    assert tin_feasible(cm, [Fraction(3, 5)] * 5).feasible
-    assert not tin_feasible(cm, [Fraction(3, 5) + Fraction(1, 10**6)] * 5).feasible
+    assert tin_feasible(cm, [Fraction(3, 5)] * 5, links).feasible
+    assert not tin_feasible(cm, [Fraction(3, 5) + Fraction(1, 10**6)] * 5, links).feasible
 
 
 def test_reference_reduced_component_symmetric():
-    cm = tin_component(improved_map())
-    d, sol = tin_symmetric(cm)
+    cm, links = tin_component(improved_map())
+    d, sol = tin_symmetric(cm, links)
     assert d == Fraction(2, 3)
     assert sol.r == (0, Fraction(-1, 6), 0, Fraction(-1, 6), Fraction(-1, 3))
 
@@ -168,3 +180,32 @@ def test_symmetric_optimum_is_the_minimum_cycle_ratio(drawn):
     K = len(diag)
     alpha = [[diag[k] if k == i else cross[k * K + i] for i in range(K)] for k in range(K)]
     assert_symmetric_optimum(validate_channel(alpha))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_integer_core_matches_fraction_reference(seed):
+    """Mixed denominators, a random TIN link subset: the integer core gives
+    the reference's t*, exponents, fractions and certificates."""
+    rng = random.Random(seed)
+    K = rng.randint(1, 5)
+    cm = random_channel(rng, K, diag_choices=MIXED_DIAG, cross_choices=MIXED_CROSS,
+                        cross_prob=0.6)
+    links = frozenset(l for l in cm.cross_links() if rng.random() < 0.6)
+    sub = tin_subchannel(cm, links)
+    t, sol = tin_symmetric(cm, links)
+    t_ref, sol_ref = reference_tin_symmetric(sub)
+    assert (t, sol.r) == (t_ref, sol_ref.r)
+    assert single_level_gdof(cm, sol.r, links) == tuple(single_stream_gdof(sub, sol_ref.r))
+
+    above = [t + Fraction(1, 10**9)] * K
+    targets = [rng.choice([0, *MIXED_CROSS]) for _ in range(K)]
+    for d in (above, targets):
+        got, want = tin_feasible(cm, d, links), reference_tin_feasible(sub, d)
+        assert got == want
+        if not got.feasible:
+            cycle = got.negative_cycle
+            assert all(type(w) is Fraction for _, _, w in cycle)
+            assert sum(w for _, _, w in cycle) < 0
+            assert [v for _, v, _ in cycle] == [u for u, _, _ in cycle[1:] + cycle[:1]]
+    assert not tin_feasible(cm, above, links).feasible
