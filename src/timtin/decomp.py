@@ -6,9 +6,11 @@ separately, the per-user product of their fractions is the claimed GDoF,
 and an explicit combined scheme is synthesized and re-evaluated on the
 original channel.  Claims are never trusted: a result whose evaluated
 GDoF falls short of its product is reported with verdict=False rather
-than dropped.  Within one search, maps that synthesize the same scheme
-share one verification (memoized by scheme): the same scheme on the same
-channel has the same GDoF tuple.
+than dropped.  Within one search, maps that yield the same scheme share
+one synthesis and one verification: a scheme is fully determined by the
+TIM block length and integer directions plus the TIN power exponents, so
+those values key the memo, and the same scheme on the same channel has
+the same GDoF tuple.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from .model import (
 from .tim import TimSolution, TimTopology, tim_solve
 
 
-# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.8 ms each is
-# already ~14 minutes.  Exhaustive masks are a lazy range; the search
-# keeps one result per distinct verified tuple and one memo entry per
-# distinct scheme, so its memory grows with those counts, not with 2^L.
+# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.4 ms each (the
+# 5-user reference network; more users cost more) is already ~7 minutes.
+# Exhaustive masks are a lazy range; the search keeps one result per
+# distinct verified tuple and one memo entry per distinct scheme, so its
+# memory grows with those counts, not with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
 
@@ -101,10 +104,12 @@ def evaluate_map(
     """Solve both components of one decomposition, synthesize the combined
     scheme, and verify the per-user products on the original channel.
     ``colorings`` is handed to tim_solve as its coloring memo.
-    ``verifications`` maps each scheme already verified on this channel to
-    its verified tuple; search passes one dict per call, so each distinct
-    scheme is verified once per search.  Products and the verdict are
-    still computed per map."""
+    ``verifications`` maps (block length, TIM directions, power exponents),
+    the values that determine the synthesized scheme, to that scheme and
+    its verified tuple on this channel; search passes one dict per call,
+    so each distinct scheme is synthesized and verified once per search
+    and maps that share it share one Scheme object.  Products and the
+    verdict are still computed per map."""
     tin_links, tim_topology = split(channel, dmap)
     _, tin_sol = tin.tin_symmetric(channel, tin_links)
     # The canonical (componentwise-maximal) exponents may exceed the
@@ -112,14 +117,16 @@ def evaluate_map(
     tin_fractions = tin.single_level_gdof(channel, tin_sol.r, tin_links)
     tim_sol = tim_solve(tim_topology, colorings)
     products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
-    scheme = synthesize_scheme(tin_sol, tim_sol, channel)
     if verifications is None:
         verifications = {}
-    verified = verifications.get(scheme)
-    if verified is None:
-        verified = verifications[scheme] = tuple(
+    key = (tim_sol.n, tim_sol.directions, tin_sol.r)
+    memo = verifications.get(key)
+    if memo is None:
+        scheme = synthesize_scheme(tin_sol, tim_sol, channel)
+        memo = verifications[key] = scheme, tuple(
             evaluator.user_gdof(scheme, channel, k).gdof for k in range(channel.K)
         )
+    scheme, verified = memo
     return DecompositionResult(
         map=dmap,
         tin_fractions=tin_fractions,

@@ -12,7 +12,10 @@ over maximal independent sets up to 12 users per component, greedy
 coloring beyond) and users get orthogonal time-sharing slots.
 
 Every solution carries an explicit vector assignment so the evaluator can
-certify the claimed fractions on the binary channel.
+certify the claimed fractions on the binary channel.  Its directions are
+integral (basis vectors and half-rate (1, t) pairs, zero-padded into the
+block), so they are built and compared as Python ints; the scheme built
+from them converts each coordinate to a Fraction at the model boundary.
 """
 
 from __future__ import annotations
@@ -49,15 +52,16 @@ class TimTopology:
 class TimSolution:
     """Per-user signal-space fractions with a realizing vector assignment.
 
-    ``directions[u]`` lists the n-dimensional beam directions of user u;
-    users sharing a direction are alignment-compatible and conflicting
-    users' directions are linearly independent.
+    ``directions[u]`` lists the n-dimensional beam directions of user u
+    as tuples of ints, each with first nonzero coordinate 1; users sharing
+    a direction are alignment-compatible and conflicting users' directions
+    are linearly independent.
     """
 
     fractions: tuple[Fraction, ...]
     method: str  # 'full' | 'half_rate' | 'coloring'
     n: int
-    directions: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    directions: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def build_graphs(topo: TimTopology):
@@ -165,8 +169,8 @@ def _greedy_coloring(members: list[int], adj) -> dict[int, int]:
     return color
 
 
-def _basis_vector(n: int, j: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if idx == j else Fraction(0) for idx in range(n))
+def _basis_vector(n: int, j: int) -> tuple[int, ...]:
+    return tuple(1 if idx == j else 0 for idx in range(n))
 
 
 def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
@@ -184,7 +188,7 @@ def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
     active = [u for u in range(K) if conf_adj[u]]
 
     if not active:
-        one = ((Fraction(1),),)
+        one = ((1,),)
         return TimSolution((Fraction(1),) * K, "full", 1, tuple(one for _ in range(K)))
 
     # Classify each conflict component: half-rate when no alignment group
@@ -202,10 +206,9 @@ def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
         if not internal:
             local = {}
             for g in groups:
-                t = Fraction(clean_group_parameter)
-                clean_group_parameter += 1
                 for u in g:
-                    local[u] = [(Fraction(1), t)]
+                    local[u] = [(1, clean_group_parameter)]
+                clean_group_parameter += 1
             plans.append((2, local, Fraction(1, 2), False))
         elif len(comp) <= COLORING_LP_LIMIT:
             inside = set(comp)
@@ -230,7 +233,7 @@ def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
 
     n = lcm(*[block for block, _, _, _ in plans])
     fractions = [Fraction(1)] * K
-    directions: list[tuple[tuple[Fraction, ...], ...]] = [()] * K
+    directions: list[tuple[tuple[int, ...], ...]] = [()] * K
     for u in range(K):
         if not conf_adj[u]:  # inactive: keeps its whole space
             directions[u] = tuple(_basis_vector(n, j) for j in range(n))
@@ -241,13 +244,14 @@ def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
             embedded = []
             for b in range(replicas):
                 for vec in vecs:
-                    out = [Fraction(0)] * n
-                    out[b * block : (b + 1) * block] = list(vec)
+                    out = [0] * n
+                    out[b * block : (b + 1) * block] = vec
                     embedded.append(tuple(out))
             directions[u] = tuple(embedded)
 
     for u in range(K):  # the assignment must realize the claimed fraction
-        if Fraction(len(directions[u]), n) < fractions[u]:
+        f = fractions[u]
+        if len(directions[u]) * f.denominator < f.numerator * n:
             raise InvariantViolation(f"user {u}: directions fall short of fraction {fractions[u]}")
 
     method = "coloring" if any(p[3] for p in plans) else "half_rate"

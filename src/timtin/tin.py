@@ -57,11 +57,11 @@ class TinSolution:
 
 def _heard(channel: ChannelMatrix, links: Links | None) -> list[list[int]]:
     """Per receiver k, the transmitters j of present links (k, j) in links."""
-    links = channel.link_set if links is None else links
-    return [
-        [j for j, a in enumerate(row) if a and j != k and (k, j) in links]
-        for k, row in enumerate(channel.scaled)
-    ]
+    present = channel.link_set if links is None else channel.link_set.intersection(links)
+    heard: list[list[int]] = [[] for _ in range(channel.K)]
+    for k, j in sorted(present):  # edge order decides which negative cycle is found
+        heard[k].append(j)
+    return heard
 
 
 def single_level_gdof(

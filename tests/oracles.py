@@ -21,7 +21,7 @@ from timtin.tin import Edge, TinSolution
 
 def rank_of(vectors) -> int:
     """Exact rank via plain Gaussian elimination over Fractions."""
-    rows = [list(v) for v in vectors]
+    rows = [[Fraction(c) for c in v] for v in vectors]
     if not rows:
         return 0
     n = len(rows[0])

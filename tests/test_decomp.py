@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -177,10 +178,13 @@ def test_synthesized_schemes_are_already_normalized(seed):
     )
     for user_dirs in tim_solve(TimTopology(K, links)).directions:
         for vec in user_dirs:
+            assert all(type(c) is int for c in vec)  # TIM directions are integral
             assert next(c for c in vec if c != 0) == 1
     cm = random_channel(rng, K, cross_prob=min(0.5, 6 / (K * (K - 1))))
     for r in decomp.search(cm, decomp.SearchBudget(exhaustive_cap=7)):
         assert validate_scheme(r.scheme, cm) == r.scheme
+        # the model boundary is unchanged: scheme coordinates are Fractions
+        assert all(type(c) is Fraction for s in r.scheme.streams for c in s.vector)
 
 
 def _mask_of(result, links) -> int:
@@ -207,7 +211,15 @@ def test_search_results_in_mask_order(cap):
 
 
 def test_search_verifies_each_distinct_scheme_once(monkeypatch):
+    """Maps that yield the same scheme share one synthesis and one
+    verification: search synthesizes exactly the distinct schemes that
+    memo-less evaluation finds over every mask, and verifies each once."""
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
+    links = cm.cross_links()
+    distinct = {
+        decomp.evaluate_map(cm, decomp._mask_to_map(links, mask)).scheme
+        for mask in range(1 << len(links))
+    }
     synthesize, user_gdof = decomp.synthesize_scheme, evaluator.user_gdof
     schemes, calls = [], []
 
@@ -222,9 +234,28 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
     monkeypatch.setattr(decomp, "synthesize_scheme", record_scheme)
     monkeypatch.setattr(evaluator, "user_gdof", counted_user_gdof)
     decomp.search(cm)
-    assert len(schemes) == 1 << len(cm.cross_links())
-    assert len(set(schemes)) < len(schemes)  # some maps share a scheme
-    assert len(calls) == cm.K * len(set(schemes))
+    assert len(schemes) == len(set(schemes))  # no scheme is synthesized twice
+    assert set(schemes) == distinct
+    assert len(schemes) < 1 << len(links)  # some maps share a scheme
+    assert len(calls) == cm.K * len(schemes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_shared_memos_match_memo_less_evaluation(seed):
+    """evaluate_map with one colorings/verifications pair shared across
+    every mask returns, field by field, what it returns without memos."""
+    rng = random.Random(seed)
+    K = rng.randint(1, 4)
+    cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]))
+    links = cm.cross_links()
+    colorings, verifications = {}, {}
+    for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=6)):
+        dmap = decomp._mask_to_map(links, mask)
+        shared = decomp.evaluate_map(cm, dmap, colorings, verifications)
+        alone = decomp.evaluate_map(cm, dmap)
+        for field in fields(shared):
+            assert getattr(shared, field.name) == getattr(alone, field.name), (field.name, mask)
 
 
 @settings(max_examples=30, deadline=None)

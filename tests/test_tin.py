@@ -186,26 +186,32 @@ def test_symmetric_optimum_is_the_minimum_cycle_ratio(drawn):
 @given(st.integers(0, 10**6))
 def test_integer_core_matches_fraction_reference(seed):
     """Mixed denominators, a random TIN link subset: the integer core gives
-    the reference's t*, exponents, fractions and certificates."""
+    the reference's t*, exponents, fractions and certificates, also when
+    the link set carries pairs that are not present cross links of the
+    channel (an absent pair, a self link, out-of-range and negative
+    indices), which every solver ignores."""
     rng = random.Random(seed)
     K = rng.randint(1, 5)
     cm = random_channel(rng, K, diag_choices=MIXED_DIAG, cross_choices=MIXED_CROSS,
                         cross_prob=0.6)
     links = frozenset(l for l in cm.cross_links() if rng.random() < 0.6)
+    absent = [(k, i) for k in range(K) for i in range(K) if k != i and cm.alpha[k][i] == 0]
+    junk = {(0, 0), (K, 0), (-1, 0), *rng.sample(absent, min(1, len(absent)))}
     sub = tin_subchannel(cm, links)
-    t, sol = tin_symmetric(cm, links)
     t_ref, sol_ref = reference_tin_symmetric(sub)
-    assert (t, sol.r) == (t_ref, sol_ref.r)
-    assert single_level_gdof(cm, sol.r, links) == tuple(single_stream_gdof(sub, sol_ref.r))
-
-    above = [t + Fraction(1, 10**9)] * K
     targets = [rng.choice([0, *MIXED_CROSS]) for _ in range(K)]
-    for d in (above, targets):
-        got, want = tin_feasible(cm, d, links), reference_tin_feasible(sub, d)
-        assert got == want
-        if not got.feasible:
-            cycle = got.negative_cycle
-            assert all(type(w) is Fraction for _, _, w in cycle)
-            assert sum(w for _, _, w in cycle) < 0
-            assert [v for _, v, _ in cycle] == [u for u, _, _ in cycle[1:] + cycle[:1]]
-    assert not tin_feasible(cm, above, links).feasible
+    for given_links in (links, links | junk):
+        t, sol = tin_symmetric(cm, given_links)
+        assert (t, sol.r) == (t_ref, sol_ref.r)
+        assert single_level_gdof(cm, sol.r, given_links) == tuple(single_stream_gdof(sub, sol_ref.r))
+
+        above = [t + Fraction(1, 10**9)] * K
+        for d in (above, targets):
+            got, want = tin_feasible(cm, d, given_links), reference_tin_feasible(sub, d)
+            assert got == want
+            if not got.feasible:
+                cycle = got.negative_cycle
+                assert all(type(w) is Fraction for _, _, w in cycle)
+                assert sum(w for _, _, w in cycle) < 0
+                assert [v for _, v, _ in cycle] == [u for u, _, _ in cycle[1:] + cycle[:1]]
+        assert not tin_feasible(cm, above, given_links).feasible
