@@ -34,11 +34,12 @@ from .model import (
 from .tim import TimSolution, TimTopology, tim_solve
 
 
-# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.4 ms each (the
-# 5-user reference network; more users cost more) is already ~7 minutes.
+# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.3 ms each (the
+# 5-user reference network; more users cost more) is already ~5 minutes.
 # Exhaustive masks are a lazy range; the search keeps one result per
-# distinct verified tuple and one memo entry per distinct scheme, so its
-# memory grows with those counts, not with 2^L.
+# distinct verified tuple, one memo entry per distinct scheme and one per
+# distinct TIM graph pair, so its memory grows with those counts, not
+# with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
 
@@ -98,12 +99,12 @@ def synthesize_scheme(
 def evaluate_map(
     channel: ChannelMatrix,
     dmap: DecompositionMap,
-    colorings: dict | None = None,
+    memo: dict | None = None,
     verifications: dict | None = None,
 ) -> DecompositionResult:
     """Solve both components of one decomposition, synthesize the combined
     scheme, and verify the per-user products on the original channel.
-    ``colorings`` is handed to tim_solve as its coloring memo.
+    ``memo`` is handed to tim_solve as its solution and coloring memo.
     ``verifications`` maps (block length, TIM directions, power exponents),
     the values that determine the synthesized scheme, to that scheme and
     its verified tuple on this channel; search passes one dict per call,
@@ -115,7 +116,7 @@ def evaluate_map(
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
     tin_fractions = tin.single_level_gdof(channel, tin_sol.r, tin_links)
-    tim_sol = tim_solve(tim_topology, colorings)
+    tim_sol = tim_solve(tim_topology, memo)
     products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
     if verifications is None:
         verifications = {}
@@ -174,10 +175,10 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
     # so both dicts (insertion-ordered) are already in mask order.
     passed: dict[tuple, DecompositionResult] = {}
     failed: dict[tuple, DecompositionResult] = {}
-    colorings: dict = {}  # TIM subproblems repeat across maps
+    memo: dict = {}  # TIM graph pairs and subproblems repeat across maps
     verifications: dict = {}  # and so do synthesized schemes
     for mask in candidate_masks(channel, budget):
-        result = evaluate_map(channel, _mask_to_map(links, mask), colorings, verifications)
+        result = evaluate_map(channel, _mask_to_map(links, mask), memo, verifications)
         (passed if result.verdict else failed).setdefault(result.verified, result)
     # A dominator has a strictly larger sum and dominance is transitive, so
     # in descending-sum order each tuple need only be tested against the

@@ -11,6 +11,11 @@ block; otherwise the conflict graph is fractionally colored (exact LP
 over maximal independent sets up to 12 users per component, greedy
 coloring beyond) and users get orthogonal time-sharing slots.
 
+The solution depends on the topology only through K and the two graphs,
+so a caller-supplied memo (one per decomposition search) solves each
+distinct (K, alignment, conflict) once, and reuses fractional colorings
+of equal conflict components across distinct graph pairs.
+
 Every solution carries an explicit vector assignment so the evaluator can
 certify the claimed fractions on the binary channel.  Its directions are
 integral (basis vectors and half-rate (1, t) pairs, zero-padded into the
@@ -173,16 +178,26 @@ def _basis_vector(n: int, j: int) -> tuple[int, ...]:
     return tuple(1 if idx == j else 0 for idx in range(n))
 
 
-def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
+def tim_solve(topo: TimTopology, memo: dict | None = None) -> TimSolution:
     """Per-user signal-space fractions with a certifiable vector assignment.
 
-    ``colorings`` memoizes fractional_coloring results across calls, keyed
-    by a component's members and its conflict edges; a caller solving many
-    related topologies (one decomposition search) passes one dict to all.
+    ``memo`` carries work across calls; a caller solving many related
+    topologies (one decomposition search) passes one dict to all.  It
+    holds whole solutions, keyed by (K, alignment, conflict), which
+    determine the solution, and fractional_coloring results, keyed by a
+    component's members and its conflict edges.  Topologies with equal
+    graphs share one (frozen) TimSolution.
     """
-    colorings = {} if colorings is None else colorings
-    K = topo.K
+    memo = {} if memo is None else memo
     alignment, conflict = build_graphs(topo)
+    key = (topo.K, alignment, conflict)
+    solution = memo.get(key)
+    if solution is None:
+        solution = memo[key] = _solve_graphs(topo.K, alignment, conflict, memo)
+    return solution
+
+
+def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
     conf_adj = _adjacency(K, conflict)
     align_adj = _adjacency(K, alignment)
     active = [u for u in range(K) if conf_adj[u]]
@@ -213,9 +228,9 @@ def tim_solve(topo: TimTopology, colorings: dict | None = None) -> TimSolution:
         elif len(comp) <= COLORING_LP_LIMIT:
             inside = set(comp)
             key = (tuple(comp), tuple(sorted(e for e in conflict if e[0] in inside)))
-            if key not in colorings:
-                colorings[key] = fractional_coloring(comp, conf_adj)
-            chi_f, slots = colorings[key]
+            if key not in memo:
+                memo[key] = fractional_coloring(comp, conf_adj)
+            chi_f, slots = memo[key]
             block = sum(count for _, count in slots)
             local = {u: [] for u in comp}
             slot_index = 0

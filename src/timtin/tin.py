@@ -15,10 +15,14 @@ weighs a constant minus t, so a cycle with cost c (its weight at t = 0)
 and count m (its edges leaving user nodes) stays nonnegative exactly
 while t <= c / m.  The symmetric optimum is therefore the minimum
 cost-to-count cycle ratio floored at 0 (the cyclic bounds of the TIN
-region; the cycle through user k's own direct-link constraint has ratio
-a_kk).  Dinkelbach's iteration finds it exactly, with two certificates: a
-feasible point at t*, and a negative cycle of ratio at most t*, which
-stays negative at every larger t.
+region), and every cycle's ratio bounds it from above.  The cycles of one
+and two users read straight off the channel: user k's direct-link cycle
+has ratio a_kk, and a link (k, j) closes into a cycle through j's
+direct-link constraint, ratio (a_kk - a_kj + a_jj) / 2, or, when (j, k) is
+a link too, through it, ratio (a_kk - a_kj + a_jj - a_jk) / 2.
+Dinkelbach's iteration starts at the smallest of these and finds the
+optimum exactly, with two certificates: a feasible point at t*, and a
+cycle of ratio at most t*, which is negative at every larger t.
 
 The arithmetic runs on Python ints, scaled by the channel's S (A = S *
 alpha): targets are d_k = D_k / (m * S) for one integer m, so an edge from
@@ -55,11 +59,15 @@ class TinSolution:
     negative_cycle: tuple[Edge, ...] | None
 
 
+def _present(channel: ChannelMatrix, links: Links | None) -> frozenset[tuple[int, int]]:
+    """The present cross links of the channel that lie in links (all when None)."""
+    return channel.link_set if links is None else channel.link_set.intersection(links)
+
+
 def _heard(channel: ChannelMatrix, links: Links | None) -> list[list[int]]:
     """Per receiver k, the transmitters j of present links (k, j) in links."""
-    present = channel.link_set if links is None else channel.link_set.intersection(links)
     heard: list[list[int]] = [[] for _ in range(channel.K)]
-    for k, j in sorted(present):  # edge order decides which negative cycle is found
+    for k, j in sorted(_present(channel, links)):  # edge order decides which negative cycle is found
         heard[k].append(j)
     return heard
 
@@ -145,15 +153,24 @@ def tin_symmetric(channel: ChannelMatrix, links: Links | None = None) -> tuple[F
     with the interference of ``links`` treated as noise.
 
     Dinkelbach iteration on the constraint graph: start at the smallest
-    direct strength; while (t, ..., t) has a negative cycle, lower t to
-    that cycle's cost-to-count ratio, clamped at 0.  The first feasible t
-    is the exact optimum: the returned solution is feasible there, and the
-    last cycle found (or, when the start is feasible, the direct-link
-    cycle of the weakest user) has ratio at most t, so it is negative at
-    every larger target.
+    ratio of the one- and two-user cycles (see the module docstring),
+    clamped at 0; while (t, ..., t) has a negative cycle, lower t to that
+    cycle's cost-to-count ratio, clamped at 0.  Every cycle ratio is at
+    least the optimum, so the first feasible t is the exact optimum: the
+    returned solution is feasible there, and the last cycle found (or,
+    when the start is feasible, the cycle that set the start) has ratio
+    at most t, so it is negative at every larger target.
     """
     K, S, A = channel.K, channel.scale, channel.scaled
-    C, m = min(A[k][k] for k in range(K)), 1
+    present = _present(channel, links)
+    # Start ratios as C / (2S).  A link (k, j) closes through (j, k) when
+    # that is a link too (A_jk > 0 makes it the tighter cycle), else
+    # through the anchor.
+    C = min(
+        [2 * A[k][k] for k in range(K)]
+        + [A[k][k] - A[k][j] + A[j][j] - (A[j][k] if (j, k) in present else 0) for k, j in present]
+    )
+    C, m = max(C, 0), 2
     while True:
         t = Fraction(C, m * S)
         sol = tin_feasible(channel, [t] * K, links)

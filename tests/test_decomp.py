@@ -243,16 +243,16 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_shared_memos_match_memo_less_evaluation(seed):
-    """evaluate_map with one colorings/verifications pair shared across
+    """evaluate_map with one memo/verifications pair shared across
     every mask returns, field by field, what it returns without memos."""
     rng = random.Random(seed)
     K = rng.randint(1, 4)
     cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]))
     links = cm.cross_links()
-    colorings, verifications = {}, {}
+    memo, verifications = {}, {}
     for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=6)):
         dmap = decomp._mask_to_map(links, mask)
-        shared = decomp.evaluate_map(cm, dmap, colorings, verifications)
+        shared = decomp.evaluate_map(cm, dmap, memo, verifications)
         alone = decomp.evaluate_map(cm, dmap)
         for field in fields(shared):
             assert getattr(shared, field.name) == getattr(alone, field.name), (field.name, mask)

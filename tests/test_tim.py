@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -172,3 +173,23 @@ def test_adding_a_link_never_helps(seed):
     before = tim_solve(topo).fractions
     after = tim_solve(TimTopology(K, topo.links | {extra})).fractions
     assert all(b <= a for b, a in zip(after, before))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_solution_memo_matches_memo_less_solve(seed):
+    """With one memo shared across many topologies, tim_solve returns,
+    field by field, what it returns without one; topologies with equal
+    graphs and K share one solution, equal graphs under another K do not."""
+    rng = random.Random(seed)
+    memo = {}
+    by_graphs = {}
+    for _ in range(24):
+        K = rng.randint(1, 6)
+        topo = random_topology(rng, K, prob=rng.choice([0.2, 0.4]))
+        shared, alone = tim_solve(topo, memo), tim_solve(topo)
+        for field in fields(shared):
+            assert getattr(shared, field.name) == getattr(alone, field.name), field.name
+        assert by_graphs.setdefault((K, *build_graphs(topo)), shared) is shared
+        wider = tim_solve(TimTopology(K + 1, topo.links), memo)
+        assert wider is not shared and len(wider.fractions) == K + 1

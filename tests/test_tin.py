@@ -16,7 +16,7 @@ from oracles import (
     symmetric_tin_optimum,
     tin_subchannel,
 )
-from timtin import decomp
+from timtin import decomp, tin
 from timtin.fixtures import baseline_map, five_user_network, improved_map
 from timtin.model import validate_channel
 from timtin.tin import single_level_gdof, tin_feasible, tin_symmetric
@@ -157,6 +157,39 @@ def test_symmetric_optimum_is_exact_on_mixed_denominators():
     # ratio of the cycle through both users, 507228/1009091.
     cm = validate_channel([["74/97", "0", "0"], ["52/101", "78/103", "0"], ["0", "0", "88/103"]])
     assert assert_symmetric_optimum(cm) == Fraction(507228, 1009091)
+
+
+def counted_feasible(monkeypatch):
+    """Route tin_symmetric's feasibility checks through a call counter."""
+    calls = []
+    feasible = tin.tin_feasible
+
+    def counting(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(tin, "tin_feasible", counting)
+    return calls
+
+
+def test_binding_two_cycle_is_the_start(monkeypatch):
+    # Both users hear each other at 3/4: the 2-cycle ratio
+    # (1 - 3/4 + 1 - 3/4) / 2 = 1/4 is the optimum, so the start is feasible.
+    calls = counted_feasible(monkeypatch)
+    cm = validate_channel([["1", "3/4"], ["3/4", "1"]])
+    d, sol = tin_symmetric(cm)
+    assert d == Fraction(1, 4) == symmetric_tin_optimum(cm)
+    assert sol.feasible and len(calls) == 1
+
+
+def test_binding_three_cycle_needs_a_dinkelbach_step(monkeypatch):
+    # Receiver k hears transmitter k + 1 at 1/2: every one- and two-user
+    # cycle ratio is at least 3/4, the 3-cycle's is 1/2.
+    calls = counted_feasible(monkeypatch)
+    cm = validate_channel([["1", "1/2", "0"], ["0", "1", "1/2"], ["1/2", "0", "1"]])
+    d, sol = tin_symmetric(cm)
+    assert d == Fraction(1, 2) == symmetric_tin_optimum(cm)
+    assert sol.feasible and len(calls) >= 2
 
 
 MIXED = [Fraction(n, q) for q in (97, 101, 103) for n in range(q // 4, q)]
