@@ -23,6 +23,7 @@ decoded some of its own streams with the same mask, ``_undecoded``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Iterable, Sequence
@@ -43,6 +44,7 @@ from .model import (
 # Beyond this power the spread of covariance eigenvalues exhausts double
 # precision, so the oracle refuses rather than returning noise.
 MAX_ORACLE_POWER = 1e12
+MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
 
 
 def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fraction | int:
@@ -219,8 +221,7 @@ def _logdet(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.ndarra
     """log det(I + sum_kept P^kappa_s u_s u_s^T) in nats."""
     if not np.any(keep):
         return 0.0
-    spread = P ** max(float(kappas[keep].max()), 0.0)
-    if spread <= DOUBLE_SPREAD_LIMIT:
+    if max(float(kappas[keep].max()), 0.0) * math.log(P) <= math.log(DOUBLE_SPREAD_LIMIT):
         return _logdet_double(unit_dirs, kappas, P, keep)
     return _logdet_mp(unit_dirs, kappas, P, keep)
 
@@ -229,6 +230,10 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
     """Unit-norm float directions, stream users and receive exponents per
     (receiver, stream).
 
+    Each receive exponent kappa = alpha + r lies between a power exponent
+    r <= 0 and a strength alpha >= 0; refusing those with |x| log10 P > 308
+    keeps every P^kappa a double and bounds the mpmath precision.
+
     Nothing here is random, so the oracle's seed does not change the rates
     until per-link magnitudes are drawn from it.
     """
@@ -236,13 +241,20 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
         raise ValueError("P must exceed 1")
     if P > MAX_ORACLE_POWER:
         raise ValueError(f"P capped at {MAX_ORACLE_POWER:.0e} for double precision")
+    users = [s.user for s in scheme.streams]
+    strengths = [[row[u] for u in users] for row in channel.alpha]
+    reach = sys.float_info.max_10_exp / math.log10(P)
+    exponents = [-s.power_exp for s in scheme.streams] + [a for row in strengths for a in row]
+    if max(exponents, default=0) > reach:
+        raise ValueError(f"a receive exponent beyond ±{reach:.6g} leaves double range at P={P:g}")
+    if any(abs(c) > MAX_ORACLE_COORDINATE for s in scheme.streams for c in s.vector):
+        raise ValueError(f"a coordinate beyond {MAX_ORACLE_COORDINATE:.0e} leaves double range")
     directions = np.array([[float(c) for c in s.vector] for s in scheme.streams])
     directions = directions.reshape(-1, scheme.n)  # shape (0, n) when there are no streams
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    users = [s.user for s in scheme.streams]
     r = np.array([float(s.power_exp) for s in scheme.streams])
-    alpha = np.array([[float(a) for a in row] for row in channel.alpha])
-    kappas = alpha[:, users] + r  # kappas[k, s]: receive exponent at receiver k
+    alpha = np.array([[float(a) for a in row] for row in strengths]).reshape(channel.K, len(users))
+    kappas = alpha + r  # kappas[k, s]: receive exponent at receiver k
     return directions, users, kappas
 
 

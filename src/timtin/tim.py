@@ -7,9 +7,11 @@ transmitter to each receiver it interferes at (their signal spaces must
 stay linearly independent).  Users untouched by interference keep their
 whole space.  If no alignment component contains a conflict between two
 of its own members, every remaining user gets half its space in a 2-use
-block; otherwise the conflict graph is fractionally colored (exact LP
-over maximal independent sets up to 12 users per component, greedy
-coloring beyond) and users get orthogonal time-sharing slots.
+block; otherwise the conflict graph is fractionally colored and users get
+orthogonal time-sharing slots.  Every such component takes the exact LP
+over its maximal independent sets, up to COLORING_LP_LIMIT = 16 users;
+there is no heuristic fallback, so a larger one raises BudgetOutOfRange
+(the LP's work grows with the users, whatever the number of sets).
 
 The solution depends on the topology only through K and the two graphs,
 so a caller-supplied memo (one per decomposition search) solves each
@@ -27,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from . import exactlp
-from .model import InvariantViolation
+from .model import BudgetOutOfRange, InvariantViolation
 
-COLORING_LP_LIMIT = 12  # component size above which greedy coloring takes over
+COLORING_LP_LIMIT = 16  # largest conflict component the exact coloring LP accepts
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,7 @@ def build_graphs(topo: TimTopology):
     heard: dict[int, list[int]] = {k: [] for k in range(topo.K)}
     for k, i in sorted(topo.links):
         heard[k].append(i)
-    alignment = set()
-    for k, sources in heard.items():
-        for a in range(len(sources)):
-            for b in range(a + 1, len(sources)):
-                i, j = sorted((sources[a], sources[b]))
-                alignment.add((i, j))
+    alignment = {pair for sources in heard.values() for pair in combinations(sources, 2)}
     conflict = {tuple(sorted((i, k))) for k, i in topo.links}
     return frozenset(alignment), frozenset(conflict)
 
@@ -114,28 +112,34 @@ def _connected_components(nodes, adj) -> list[list[int]]:
 
 
 def _maximal_independent_sets(members: list[int], adj) -> list[frozenset[int]]:
+    """Maximal independent sets of the subgraph induced on ``members``: the
+    complement's maximal cliques, by Bron-Kerbosch with pivoting (Tomita,
+    Tanaka and Takahashi, 2006) on bitmasks over member positions.  They
+    come in ascending mask order, the LP column order its vertex depends on."""
     index = {v: i for i, v in enumerate(members)}
-    m = len(members)
-    mask_adj = [0] * m
-    for v in members:
-        for w in adj[v]:
-            if w in index:
-                mask_adj[index[v]] |= 1 << index[w]
-    independent = [
-        mask
-        for mask in range(1, 1 << m)
-        if all(not (mask_adj[i] & mask) for i in range(m) if mask & (1 << i))
+    everyone = (1 << len(members)) - 1
+    free = [  # members independent of member i, i excluded
+        everyone & ~(1 << i) & ~sum(1 << index[w] for w in adj[v] if w in index)
+        for i, v in enumerate(members)
     ]
-    ind_set = set(independent)
-    maximal = []
-    for mask in independent:
-        if any(
-            not (mask & (1 << i)) and (mask | (1 << i)) in ind_set
-            for i in range(m)
-        ):
-            continue
-        maximal.append(frozenset(members[i] for i in range(m) if mask & (1 << i)))
-    return maximal
+    found = []
+
+    def expand(chosen: int, candidates: int, excluded: int):
+        if not candidates | excluded:
+            found.append(chosen)
+            return
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & free[u]).bit_count())
+        for v in _bits(candidates & ~free[pivot]):
+            expand(chosen | 1 << v, candidates & free[v], excluded & free[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    expand(0, everyone, 0)
+    return [frozenset(v for i, v in enumerate(members) if mask >> i & 1) for mask in sorted(found)]
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def fractional_coloring(members: list[int], adj):
@@ -144,8 +148,11 @@ def fractional_coloring(members: list[int], adj):
 
     Returns (chi_f, slots) where slots is a list of (independent set,
     multiplicity); total multiplicity is chi_f * D and every member is
-    covered at least D times, D the common denominator.
+    covered at least D times, D the common denominator.  More than
+    COLORING_LP_LIMIT members raise BudgetOutOfRange before any work.
     """
+    if len(members) > COLORING_LP_LIMIT:
+        raise BudgetOutOfRange(f"{len(members)}-user conflict component exceeds {COLORING_LP_LIMIT}")
     sets = _maximal_independent_sets(members, adj)
     costs = [Fraction(1)] * len(sets)
     rows = [[Fraction(1) if v in s else Fraction(0) for s in sets] for v in members]
@@ -160,18 +167,6 @@ def fractional_coloring(members: list[int], adj):
     if sum(count for _, count in slots) != chi_f * denom:
         raise InvariantViolation("coloring slots do not add up to chi_f times their denominator")
     return chi_f, slots
-
-
-def _greedy_coloring(members: list[int], adj) -> dict[int, int]:
-    order = sorted(members, key=lambda v: (-len(adj[v] & set(members)), v))
-    color: dict[int, int] = {}
-    for v in order:
-        used = {color[w] for w in adj[v] if w in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    return color
 
 
 def _basis_vector(n: int, j: int) -> tuple[int, ...]:
@@ -202,10 +197,6 @@ def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
     align_adj = _adjacency(K, alignment)
     active = [u for u in range(K) if conf_adj[u]]
 
-    if not active:
-        one = ((1,),)
-        return TimSolution((Fraction(1),) * K, "full", 1, tuple(one for _ in range(K)))
-
     # Classify each conflict component: half-rate when no alignment group
     # contains a conflict between two of its own members.
     plans = []  # (local block size, {user: [local directions]}, fraction, needs_coloring)
@@ -225,7 +216,7 @@ def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
                     local[u] = [(1, clean_group_parameter)]
                 clean_group_parameter += 1
             plans.append((2, local, Fraction(1, 2), False))
-        elif len(comp) <= COLORING_LP_LIMIT:
+        else:
             inside = set(comp)
             key = (tuple(comp), tuple(sorted(e for e in conflict if e[0] in inside)))
             if key not in memo:
@@ -240,11 +231,6 @@ def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
                         local[u].append(_basis_vector(block, slot_index))
                     slot_index += 1
             plans.append((block, local, 1 / chi_f, True))
-        else:
-            color = _greedy_coloring(comp, conf_adj)
-            block = max(color.values()) + 1
-            local = {u: [_basis_vector(block, color[u])] for u in comp}
-            plans.append((block, local, Fraction(1, block), True))
 
     n = lcm(*[block for block, _, _, _ in plans])
     fractions = [Fraction(1)] * K
@@ -269,5 +255,6 @@ def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
         if len(directions[u]) * f.denominator < f.numerator * n:
             raise InvariantViolation(f"user {u}: directions fall short of fraction {fractions[u]}")
 
-    method = "coloring" if any(p[3] for p in plans) else "half_rate"
+    # no interference leaves no plans: n = 1, each user keeps its basis vector
+    method = "coloring" if any(p[3] for p in plans) else "half_rate" if plans else "full"
     return TimSolution(tuple(fractions), method, n, tuple(directions))

@@ -239,6 +239,59 @@ def reference_tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSoluti
         t = max(Fraction(0), (total + count * t) / count)
 
 
+# --- reference maximal independent sets: the library's earlier 2^m subset
+# scan, kept verbatim, and a networkx/scipy fractional chromatic number.
+
+
+def reference_maximal_independent_sets(members: list[int], adj) -> list[frozenset[int]]:
+    index = {v: i for i, v in enumerate(members)}
+    m = len(members)
+    mask_adj = [0] * m
+    for v in members:
+        for w in adj[v]:
+            if w in index:
+                mask_adj[index[v]] |= 1 << index[w]
+    independent = [
+        mask
+        for mask in range(1, 1 << m)
+        if all(not (mask_adj[i] & mask) for i in range(m) if mask & (1 << i))
+    ]
+    ind_set = set(independent)
+    maximal = []
+    for mask in independent:
+        if any(
+            not (mask & (1 << i)) and (mask | (1 << i)) in ind_set
+            for i in range(m)
+        ):
+            continue
+        maximal.append(frozenset(members[i] for i in range(m) if mask & (1 << i)))
+    return maximal
+
+
+def complement_cliques(members: list[int], adj) -> set[frozenset[int]]:
+    """Maximal independent sets as networkx's maximal cliques of the
+    complement of the subgraph induced on ``members``."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(members)
+    graph.add_edges_from((u, v) for u in members for v in adj[u] if v in graph)
+    return {frozenset(c) for c in nx.find_cliques(nx.complement(graph))}
+
+
+def linprog_fractional_chromatic(members: list[int], adj) -> float:
+    """Float optimum of the covering LP min sum x_S s.t. every member is in
+    sets of total weight >= 1, over complement_cliques' sets."""
+    from scipy.optimize import linprog
+
+    sets = sorted(complement_cliques(members, adj), key=sorted)
+    cover = [[-1.0 if v in s else 0.0 for s in sets] for v in members]
+    result = linprog([1.0] * len(sets), A_ub=cover, b_ub=[-1.0] * len(members), bounds=(0, None))
+    if result.status != 0:
+        raise RuntimeError(result.message)
+    return float(result.fun)
+
+
 # --- random instance generators (all on coarse rational grids so exponent
 # gaps stay bounded away from zero wherever float oracles are involved) ---
 

@@ -230,6 +230,70 @@ def test_malformed_documents_are_domain_errors(files, capsys, tmp_path, command,
     assert doc["error"].startswith("MalformedDocument: ")
 
 
+TWO_STREAMS = {
+    "n": 1,
+    "streams": [
+        {"user": 1, "vector": [1], "power_exp": 0},
+        {"user": 2, "vector": [1], "power_exp": 0},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "topology, scheme, powers",
+    [
+        # 1e400 reads as an exact integer far beyond a double
+        ('{"K": 2, "alpha": [[1e400, 0], [0, 1]]}', TWO_STREAMS, "1e6,1e10"),
+        # (1e3)^400 = 1e1200 overflows a double although 400 itself is small
+        ('{"K": 2, "alpha": [[400, 0], [0, 1]]}', TWO_STREAMS, "1e3,1e6"),
+        # a stream 10^-1800 below the unit noise floor at P = 1e6
+        ('{"K": 1, "alpha": [[1]]}',
+         {"n": 1, "streams": [{"user": 1, "vector": [1], "power_exp": -300}]}, "1e6"),
+        # the unit norm of (1, 1e200, 1e200) overflows a double
+        ('{"K": 1, "alpha": [[1]]}',
+         {"n": 3, "streams": [{"user": 1, "vector": [1, "1e200", "1e200"], "power_exp": 0}]},
+         "1e6"),
+        ('{"K": 1, "alpha": [[1]]}',
+         {"n": 2, "streams": [{"user": 1, "vector": [1, "1e400"], "power_exp": 0}]}, "1e6"),
+    ],
+)
+def test_oracle_input_beyond_double_range_is_domain_error(
+    capsys, tmp_path, topology, scheme, powers
+):
+    topo, scheme_file = tmp_path / "topo.json", tmp_path / "scheme.json"
+    topo.write_text(topology)
+    scheme_file.write_text(json.dumps(scheme))
+    code, out = run(capsys, "oracle", "-t", str(topo), "-s", str(scheme_file), "-P", powers)
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"].startswith("ValueError: ")
+
+
+def test_oracle_exponent_at_double_range_edge_is_evaluated(capsys, tmp_path):
+    """308 / log10(1e6) = 51.33...: a strength of 51 stays within range."""
+    topo, scheme_file = tmp_path / "topo.json", tmp_path / "scheme.json"
+    topo.write_text('{"K": 2, "alpha": [[51, 0], [0, 1]]}')
+    scheme_file.write_text(json.dumps(TWO_STREAMS))
+    code, out = run(capsys, "oracle", "-t", str(topo), "-s", str(scheme_file), "-P", "1e3,1e6")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("oracle_result.schema.json"))
+    assert abs(doc["slopes"][0] - 51) <= 0.05 and abs(doc["slopes"][1] - 1) <= 0.05
+
+
+@pytest.mark.parametrize("command", ["tim", "decompose"])
+def test_coloring_component_beyond_limit_is_budget_error(capsys, tmp_path, command):
+    K = 17  # one more than the exact coloring LP accepts
+    topo = tmp_path / "all_ones.json"
+    topo.write_text(json.dumps({"K": K, "alpha": [["1"] * K for _ in range(K)]}))
+    code, out = run(capsys, command, "-t", str(topo))
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"].startswith("BudgetOutOfRange: ")
+
+
 def test_exhaustive_cap_beyond_ceiling_is_domain_error(files, capsys, monkeypatch):
     def no_masks(*args):
         raise AssertionError("candidate masks built for an out-of-range cap")

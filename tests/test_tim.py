@@ -2,14 +2,21 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_of
+from oracles import (
+    complement_cliques,
+    linprog_fractional_chromatic,
+    rank_of,
+    reference_maximal_independent_sets,
+)
+from timtin import tim
 from timtin.evaluator import user_gdof
 from timtin.fixtures import baseline_map, improved_map
-from timtin.model import ChannelMatrix, Scheme, Stream
-from timtin.tim import TimTopology, build_graphs, tim_solve
+from timtin.model import BudgetOutOfRange, ChannelMatrix, Scheme, Stream
+from timtin.tim import COLORING_LP_LIMIT, TimTopology, build_graphs, fractional_coloring, tim_solve
 
 BASELINE_LINKS = frozenset(baseline_map().tim_links)
 IMPROVED_LINKS = frozenset(improved_map().tim_links)
@@ -36,6 +43,34 @@ def random_topology(rng: random.Random, K: int, prob=0.3) -> TimTopology:
         (k, i) for k in range(K) for i in range(K) if k != i and rng.random() < prob
     )
     return TimTopology(K, links)
+
+
+def random_component(rng: random.Random, m: int, *, connected=False):
+    """``m`` members drawn from a larger index range, and an adjacency over
+    that range whose edges also reach non-members; with ``connected`` a
+    random spanning tree joins the members."""
+    K = m + rng.randint(0, 3)
+    members = sorted(rng.sample(range(K), m))
+    adj = [set() for _ in range(K)]
+
+    def join(u, v):
+        adj[u].add(v)
+        adj[v].add(u)
+
+    if connected:
+        for i in range(1, m):
+            join(members[i], members[rng.randrange(i)])
+    p = rng.choice([0.1, 0.25, 0.5, 0.75])
+    for u in range(K):
+        for v in range(u + 1, K):
+            if rng.random() < p:
+                join(u, v)
+    return members, adj
+
+
+def symmetric_topology(K: int, edges) -> TimTopology:
+    """Each conflict edge as links in both directions."""
+    return TimTopology(K, frozenset(e for u, v in edges for e in ((u, v), (v, u))))
 
 
 def test_build_graphs_reference_component():
@@ -117,6 +152,76 @@ def test_greedy_path_on_large_component():
     sol, _ = realization(topo)
     assert sol.method == "coloring"
     assert sol.fractions == (Fraction(1, 13),) * K
+
+
+@pytest.mark.parametrize(
+    "K, distances, fraction",
+    [
+        (13, [1], Fraction(6, 13)),  # odd cycle: chi_f = 13/6, 3 colors
+        (15, [1], Fraction(7, 15)),  # odd cycle: chi_f = 15/7, 3 colors
+        (14, [3, 4, 5, 6, 7], Fraction(3, 14)),  # circular clique K_{14/3}: 5 colors
+        (16, [5, 6, 7, 8], Fraction(5, 16)),  # circular clique K_{16/5}: 4 colors
+    ],
+)
+def test_sparse_large_components_get_exact_fraction(K, distances, fraction):
+    """Sparse 13-16 user components get 1/chi_f from the exact LP, more
+    than the 1/colors of any integral coloring."""
+    topo = symmetric_topology(K, {(u, (u + d) % K) for u in range(K) for d in distances})
+    sol = tim_solve(topo)
+    assert sol.method == "coloring"
+    assert sol.fractions == (fraction,) * K
+
+
+def test_component_beyond_coloring_limit_is_refused(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("independent sets enumerated for an oversized component")
+
+    monkeypatch.setattr(tim, "_maximal_independent_sets", no_enumeration)
+    K = COLORING_LP_LIMIT + 1
+    topo = TimTopology(K, frozenset((k, i) for k in range(K) for i in range(K) if k != i))
+    with pytest.raises(BudgetOutOfRange):
+        tim_solve(topo)
+
+
+def test_half_rate_component_beyond_coloring_limit_is_solved():
+    """The limit bounds only components that need coloring."""
+    K = COLORING_LP_LIMIT + 4
+    sol = tim_solve(TimTopology(K, frozenset((k, k - 1) for k in range(1, K))))
+    assert sol.method == "half_rate" and sol.fractions == (Fraction(1, 2),) * K
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_independent_sets_match_reference_scan(seed):
+    """Up to 12 members, Bron-Kerbosch returns the 2^m scan's list, order
+    included: the order is the exact LP's column order."""
+    rng = random.Random(seed)
+    members, adj = random_component(rng, rng.randint(1, 12))
+    assert tim._maximal_independent_sets(members, adj) == reference_maximal_independent_sets(
+        members, adj
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_independent_sets_match_networkx_beyond_twelve(seed):
+    rng = random.Random(seed)
+    members, adj = random_component(rng, rng.randint(13, 16))
+    sets = tim._maximal_independent_sets(members, adj)
+    assert set(sets) == complement_cliques(members, adj) and len(set(sets)) == len(sets)
+    position = {v: i for i, v in enumerate(members)}
+    masks = [sum(1 << position[v] for v in s) for s in sets]
+    assert masks == sorted(masks)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**6))
+def test_chi_f_matches_linprog_on_connected_large_components(seed):
+    rng = random.Random(seed)
+    members, adj = random_component(rng, rng.randint(13, COLORING_LP_LIMIT), connected=True)
+    chi_f, slots = fractional_coloring(members, adj)
+    assert abs(float(chi_f) - linprog_fractional_chromatic(members, adj)) <= 1e-9
+    assert {v for s, _ in slots for v in s} == set(members)
 
 
 @settings(max_examples=50, deadline=None)
