@@ -9,7 +9,6 @@ stdout), 2 usage error (argparse message on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +23,7 @@ from .model import (
     emit_scheme,
     format_rational,
     link_list,
+    loads,
     parse_links,
     parse_scheme,
     parse_topology,
@@ -57,12 +57,12 @@ def _rational_list(text: str) -> list[Fraction]:
 
 
 def _load_links(path: str) -> frozenset:
-    doc = json.loads(Path(path).read_text())
+    doc = loads(Path(path).read_text())
     return parse_links(doc.get("links") if isinstance(doc, dict) else doc, "links")
 
 
 def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
-    report = json.loads(Path(path).read_text())
+    report = loads(Path(path).read_text())
     entries = document_list(report.get("frontier") if isinstance(report, dict) else None, "frontier")
     if not all(isinstance(entry, dict) for entry in entries):
         raise MalformedDocument("frontier entries must be objects")

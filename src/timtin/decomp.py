@@ -121,13 +121,13 @@ def evaluate_map(
     if verifications is None:
         verifications = {}
     key = (tim_sol.n, tim_sol.directions, tin_sol.r)
-    memo = verifications.get(key)
-    if memo is None:
+    verification = verifications.get(key)
+    if verification is None:
         scheme = synthesize_scheme(tin_sol, tim_sol, channel)
-        memo = verifications[key] = scheme, tuple(
+        verification = verifications[key] = scheme, tuple(
             evaluator.user_gdof(scheme, channel, k).gdof for k in range(channel.K)
         )
-    scheme, verified = memo
+    scheme, verified = verification
     return DecompositionResult(
         map=dmap,
         tin_fractions=tin_fractions,

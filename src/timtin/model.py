@@ -297,6 +297,12 @@ class GDoFReport:
         return tuple(u.gdof for u in self.users)
 
 
+def is_link(link) -> bool:
+    """True for a (receiver, transmitter) pair of Python ints; a bool or an
+    integer-valued float is not a user index."""
+    return type(link) is tuple and len(link) == 2 and type(link[0]) is int and type(link[1]) is int
+
+
 @dataclass(frozen=True)
 class DecompositionMap:
     """Assignment of each present cross link (receiver, transmitter) to the
@@ -306,16 +312,19 @@ class DecompositionMap:
     tin_links: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        tim = frozenset((int(k), int(i)) for k, i in self.tim_links)
-        tin = frozenset((int(k), int(i)) for k, i in self.tin_links)
+        # Rebuilt link by link, so each set iterates (and reprs) in the
+        # order a search's results have always shown.
+        tim, tin = frozenset(iter(self.tim_links)), frozenset(iter(self.tin_links))
         object.__setattr__(self, "tim_links", tim)
         object.__setattr__(self, "tin_links", tin)
+        for link in tim | tin:
+            if not is_link(link):
+                raise MapMismatch(f"link {link!r} is not a pair of int user indices")
+            if link[0] == link[1]:
+                raise MapMismatch(f"self link ({link[0]},{link[1]}) cannot be tagged")
         both = tim & tin
         if both:
             raise MapMismatch(f"links tagged both ways: {sorted(both)}")
-        for k, i in tim | tin:
-            if k == i:
-                raise MapMismatch(f"self link ({k},{i}) cannot be tagged")
 
     @property
     def links(self) -> frozenset[tuple[int, int]]:
@@ -325,7 +334,9 @@ class DecompositionMap:
 # --- JSON file formats (1-based user indices on disk) ---
 
 
-def _loads(text: str):
+def loads(text: str):
+    """JSON text with each number that has a fraction or exponent read as
+    the exact Fraction it spells (0.1 is 1/10), never a binary double."""
     return json.loads(text, parse_float=Fraction)
 
 
@@ -368,7 +379,7 @@ def dumps(doc) -> str:
 
 
 def parse_topology(text: str) -> ChannelMatrix:
-    doc = _loads(text)
+    doc = loads(text)
     if not isinstance(doc, dict) or "alpha" not in doc:
         raise NonSquare('topology file must be {"K": int, "alpha": [[...]]}')
     rows = [document_list(row, "alpha row") for row in document_list(doc["alpha"], "alpha")]
@@ -392,7 +403,7 @@ def emit_topology(channel: ChannelMatrix) -> str:
 
 
 def parse_scheme(text: str) -> Scheme:
-    doc = _loads(text)
+    doc = loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "streams" not in doc:
         raise DimensionMismatch('scheme file must be {"n": int, "streams": [...]}')
     entries = document_list(doc["streams"], "streams")
@@ -429,7 +440,7 @@ def emit_scheme(scheme: Scheme) -> str:
 
 
 def parse_decomposition_map(text: str) -> DecompositionMap:
-    doc = _loads(text)
+    doc = loads(text)
     if not isinstance(doc, dict) or "tim_links" not in doc or "tin_links" not in doc:
         raise MapMismatch('map file must be {"tim_links": [[k,i]...], "tin_links": [[k,i]...]}')
     return DecompositionMap(

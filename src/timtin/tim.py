@@ -33,7 +33,7 @@ from itertools import combinations
 from math import lcm
 
 from . import exactlp
-from .model import BudgetOutOfRange, InvariantViolation
+from .model import BudgetOutOfRange, InvariantViolation, is_link
 
 COLORING_LP_LIMIT = 16  # largest conflict component the exact coloring LP accepts
 
@@ -46,10 +46,11 @@ class TimTopology:
     links: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "links", frozenset((int(k), int(i)) for k, i in self.links)
-        )
-        for k, i in self.links:
+        object.__setattr__(self, "links", frozenset(self.links))  # a frozenset is kept as is
+        for link in self.links:
+            if not is_link(link):
+                raise ValueError(f"link {link!r} is not a pair of int user indices")
+            k, i = link
             if k == i:
                 raise ValueError(f"self link ({k},{i})")
             if not (0 <= k < self.K and 0 <= i < self.K):
@@ -154,10 +155,7 @@ def fractional_coloring(members: list[int], adj):
     if len(members) > COLORING_LP_LIMIT:
         raise BudgetOutOfRange(f"{len(members)}-user conflict component exceeds {COLORING_LP_LIMIT}")
     sets = _maximal_independent_sets(members, adj)
-    costs = [Fraction(1)] * len(sets)
-    rows = [[Fraction(1) if v in s else Fraction(0) for s in sets] for v in members]
-    ones = [Fraction(1)] * len(members)
-    chi_f, weights = exactlp.minimize(costs, rows, ones)
+    chi_f, weights = exactlp.minimize(sets, members)
     denom = lcm(*[w.denominator for w in weights], 1)
     slots = [
         (s, int(w * denom))

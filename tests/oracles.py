@@ -292,6 +292,103 @@ def linprog_fractional_chromatic(members: list[int], adj) -> float:
     return float(result.fun)
 
 
+# --- reference covering LP: the library's earlier generic two-phase
+# simplex (min c.x s.t. A x >= b), kept verbatim with its artificial columns.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class Infeasible(Exception):
+    pass
+
+
+class Unbounded(Exception):
+    pass
+
+
+def _reference_pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r: int, c: int):
+    piv = rows[r][c]
+    rows[r] = [x / piv for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            f = row[c]
+            rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+    if obj[c]:
+        f = obj[c]
+        obj[:] = [x - f * y for x, y in zip(obj, rows[r])]
+    basis[r] = c
+
+
+def _reference_run(rows, obj, basis, allowed):
+    while True:
+        entering = next((j for j in allowed if obj[j] < 0), None)
+        if entering is None:
+            return
+        best = None
+        for i, row in enumerate(rows):
+            if row[entering] > 0:
+                ratio = row[-1] / row[entering]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise Unbounded(f"column {entering} unbounded")
+        _reference_pivot(rows, obj, basis, best[1], entering)
+
+
+def reference_minimize(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
+    """Return (optimal value, x) for min c.x s.t. A x >= b, x >= 0.
+
+    Requires b >= 0 (true for covering programs).
+    """
+    m, n = len(A), len(c)
+    if any(bi < 0 for bi in b):
+        raise ValueError("negative right-hand side")
+    # columns: x (n) | surplus (m) | artificial (m) | rhs
+    width = n + 2 * m + 1
+    rows = []
+    for i in range(m):
+        row = [_ZERO] * width
+        for j in range(n):
+            row[j] = Fraction(A[i][j])
+        row[n + i] = -_ONE
+        row[n + m + i] = _ONE
+        row[-1] = Fraction(b[i])
+        rows.append(row)
+    basis = [n + m + i for i in range(m)]
+
+    # phase 1: minimize the artificial sum
+    obj = [_ZERO] * width
+    for j in range(n + m, n + 2 * m):
+        obj[j] = _ONE
+    for row in rows:  # zero out the basic (artificial) columns
+        obj = [x - y for x, y in zip(obj, row)]
+    _reference_run(rows, obj, basis, range(n + m))
+    if -obj[-1] != 0:
+        raise Infeasible("phase 1 ended above zero")
+    for i in range(m):  # drive leftover artificials out of the basis
+        if basis[i] >= n + m:
+            col = next((j for j in range(n + m) if rows[i][j] != 0), None)
+            if col is not None:
+                _reference_pivot(rows, obj, basis, i, col)
+
+    # phase 2: original objective over x and surplus columns
+    obj = [_ZERO] * width
+    for j in range(n):
+        obj[j] = Fraction(c[j])
+    for i, row in enumerate(rows):
+        if basis[i] < n and obj[basis[i]]:
+            f = obj[basis[i]]
+            obj = [x - f * y for x, y in zip(obj, row)]
+    _reference_run(rows, obj, basis, range(n + m))
+
+    x = [_ZERO] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = rows[i][-1]
+    return -obj[-1], x
+
+
 # --- random instance generators (all on coarse rational grids so exponent
 # gaps stay bounded away from zero wherever float oracles are involved) ---
 

@@ -186,6 +186,26 @@ def test_timeshare_weight_mismatch(files, capsys, tmp_path):
     assert json.loads(out)["gdof"] == ["0.5", "0.5"]
 
 
+def test_timeshare_reads_decimal_numbers_exactly(capsys, tmp_path):
+    # the JSON number, not the binary double nearest it (which prints as 0.1)
+    path = tmp_path / "r.json"
+    path.write_text('{"frontier": [{"verified": [0.1000000000000000055511151231257827, 1]},'
+                    ' {"verified": ["0", "1"]}]}')
+    code, out = run(capsys, "timeshare", "-r", str(path), "-w", "1,0")
+    assert code == 0
+    gdof = [to_fraction(x) for x in json.loads(out)["gdof"]]
+    assert gdof == [Fraction("0.1000000000000000055511151231257827"), 1]
+
+
+def test_tim_links_read_decimal_numbers_exactly(files, capsys, tmp_path):
+    # 2.0000000000000001 is no user index, though its nearest double is 2.0
+    path = tmp_path / "links.json"
+    path.write_text('{"links": [[2.0000000000000001, 1]]}')
+    code, out = run(capsys, "tim", "-t", str(files / "small.json"), "--links", str(path))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("MalformedDocument: ")
+
+
 @pytest.mark.parametrize(
     "command, option, document",
     [

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_minimize
 from timtin import exactlp
+from timtin.model import InvariantViolation
 from timtin.tim import fractional_coloring
-
-
-def F(x):
-    return Fraction(x)
 
 
 def adjacency_from_edges(n, edges):
@@ -22,29 +24,39 @@ def cycle_edges(n):
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-def test_simple_cover():
-    # min x0 + x1 s.t. x0 >= 1, x1 >= 2
-    value, x = exactlp.minimize([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
-    assert value == 3 and x == [1, 2]
-
-
-def test_weighted_objective():
-    # min 3x0 + x1 s.t. x0 + x1 >= 2, x1 <= unbounded; optimum picks x1
-    value, x = exactlp.minimize([F(3), F(1)], [[F(1), F(1)]], [F(2)])
-    assert value == 2 and x == [0, 2]
-
-
 def test_fractional_vertex():
-    # min x0+x1+x2 s.t. pairwise sums >= 1 -> optimum 3/2 at (1/2,1/2,1/2)
-    rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(1), F(0), F(1)]]
-    value, x = exactlp.minimize([F(1)] * 3, rows, [F(1)] * 3)
+    # cover 3 members by the 3 pairs -> optimum 3/2 at (1/2, 1/2, 1/2)
+    pairs = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+    value, x = exactlp.minimize(pairs, [0, 1, 2])
     assert value == Fraction(3, 2)
     assert x == [Fraction(1, 2)] * 3
 
 
-def test_unbounded_detection():
-    with pytest.raises(exactlp.Unbounded):
-        exactlp.minimize([F(-1)], [[F(1)]], [F(0)])
+def test_uncovered_member_is_an_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        exactlp.minimize([frozenset({0})], [0, 1])
+
+
+@st.composite
+def covering_families(draw):
+    m = draw(st.integers(1, 8))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=14))
+    covered = reduce(or_, masks)
+    masks += [1 << i for i in range(m) if not covered >> i & 1]  # cover every member
+    return [frozenset(i for i in range(m) if mask >> i & 1) for mask in masks], list(range(m))
+
+
+@given(covering_families())
+@settings(max_examples=150, deadline=None)
+def test_minimize_matches_generic_simplex(family):
+    # same pivot path as the generic two-phase simplex on c = b = 1, so
+    # the same vertex: equal value and every weight equal
+    sets, members = family
+    rows = [[Fraction(int(v in s)) for s in sets] for v in members]
+    expected = reference_minimize([Fraction(1)] * len(sets), rows, [Fraction(1)] * len(members))
+    got = exactlp.minimize(sets, members)
+    assert got == expected
+    assert all(type(w) is Fraction for w in [got[0], *got[1]])
 
 
 def test_chromatic_five_cycle():

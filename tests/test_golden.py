@@ -33,6 +33,10 @@ NETWORKS = {
         ),
         [],
     ),
+    # components of up to 8 users: ~100 coloring LPs with up to 12 sets
+    "seeded8-threshold": (
+        random_channel(random.Random(3), 8, cross_prob=0.6), ["--exhaustive-cap", "3"]
+    ),
 }
 
 GOLDEN = {
@@ -41,6 +45,8 @@ GOLDEN = {
     "seeded4": "df9b183313995016c0fa26790394e6d6c6543bb121309142c4382d031c753592",
     "seeded4-threshold": "9441ed424f9f30f035294c479915f27d1bd22c11f2b39f3f2b52d20ac60491cd",
     "seeded4-mixed": "f6ed793458a5257bd4414b9df410b3336f6fe6130258af3ccd2c1ed3a5af0de5",
+    # recorded at the generic two-phase simplex, before its covering rewrite
+    "seeded8-threshold": "58d2d9bce82cf0cdd9bbe532a5293a985162027d1d4c90275417e8fb757d1d0f",
 }
 
 

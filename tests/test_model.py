@@ -146,6 +146,22 @@ def test_decomposition_map_rejects_self_link():
         DecompositionMap(frozenset({(1, 1)}), frozenset())
 
 
+@pytest.mark.parametrize(
+    "tim_links, tin_links",
+    [({(1.7, 0)}, set()), (set(), {(True, 2)}), ({(1.0, 0)}, set()), ({(0, 1, 2)}, set())],
+)
+def test_decomposition_map_rejects_non_int_indices(tim_links, tin_links):
+    # such links used to be truncated: {(1.7, 0)} became {(1, 0)}, {(True, 2)} {(1, 2)}
+    with pytest.raises(MapMismatch):
+        DecompositionMap(tim_links, tin_links)
+
+
+def test_decomposition_map_keeps_int_links():
+    dmap = DecompositionMap({(0, 1)}, frozenset({(1, 0)}))
+    assert dmap.tim_links == frozenset({(0, 1)}) and isinstance(dmap.tim_links, frozenset)
+    assert dmap.links == {(0, 1), (1, 0)}
+
+
 def test_topology_round_trip():
     cm = five_user_network()
     assert parse_topology(emit_topology(cm)) == cm

@@ -73,6 +73,18 @@ def symmetric_topology(K: int, edges) -> TimTopology:
     return TimTopology(K, frozenset(e for u, v in edges for e in ((u, v), (v, u))))
 
 
+@pytest.mark.parametrize("links", [{(0.5, 1.9)}, {(True, 2)}, {(0, 2.0)}, {(0, 1, 2)}])
+def test_topology_rejects_non_int_indices(links):
+    # such links used to be truncated: {(0.5, 1.9)} became {(0, 1)}
+    with pytest.raises(ValueError):
+        TimTopology(3, links)
+
+
+def test_topology_keeps_int_links():
+    topo = TimTopology(3, {(0, 1), (2, 1)})
+    assert topo.links == frozenset({(0, 1), (2, 1)}) and isinstance(topo.links, frozenset)
+
+
 def test_build_graphs_reference_component():
     alignment, conflict = build_graphs(TimTopology(5, BASELINE_LINKS))
     assert alignment == frozenset({(1, 4)})
