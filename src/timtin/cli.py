@@ -4,11 +4,15 @@ Every command reads JSON files (see docs/file-formats.md), writes one JSON
 document to stdout, and is byte-deterministic for identical inputs and
 seeds.  Exit codes: 0 success, 1 domain error (JSON {"error": ...} on
 stdout), 2 usage error (argparse message on stderr).
+
+``main`` reuses one parser per process, built (handlers bound) on first
+use: it must never be mutated, and its defaults are immutable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -177,6 +181,7 @@ def _cmd_timeshare(args) -> dict:
     return {"gdof": _fractions(mixed)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timtin",
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="finite-power rates and slope estimate")
     topo_scheme(p)
-    p.add_argument("-P", "--powers", type=_power_list, default=[1e6, 1e10],
+    p.add_argument("-P", "--powers", type=_power_list, default=(1e6, 1e10),
                    help="one or two power values, e.g. 1e6,1e10")
     p.add_argument("--seed", type=int, default=0,
                    help="echoed in the document; does not change the rates yet")

@@ -45,6 +45,7 @@ from .model import (
 # precision, so the oracle refuses rather than returning noise.
 MAX_ORACLE_POWER = 1e12
 MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
+_MAX_COORDINATE_EXACT = Fraction(MAX_ORACLE_COORDINATE)  # what a Fraction compares against
 
 
 def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fraction | int:
@@ -175,9 +176,12 @@ def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
 
 # --- finite-power numerical oracle ---
 
-# Largest covariance spread the double-precision path can resolve against
-# the unit noise floor; beyond it the log-det is recomputed with an
-# arbitrary-precision LU so trailing eigenvalues near 1 survive.
+# Largest covariance spread the double-precision path takes; beyond it the
+# log-det is recomputed with an arbitrary-precision LU so trailing
+# eigenvalues near 1 survive.  At the limit itself the double path is
+# already off by up to 8e-4 nats per log-det (rates by ~1e-4 bits, far
+# inside a 0.05 slope tolerance); lowering the limit would change oracle
+# documents and make more receivers pay for mpmath.
 DOUBLE_SPREAD_LIMIT = 1e13
 
 
@@ -201,17 +205,18 @@ def _logdet_mp(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.nda
     n = unit_dirs.shape[1]
     digits = 30 + int(max(kappas.max(), 0.0) * math.log10(P)) + 2 * n
     with mp.workdps(digits):
-        matrix = mp.eye(n)
+        rows = [[mp.one if i == j else mp.zero for j in range(n)] for i in range(n)]
         base = mp.mpf(P)
         for s in range(len(kappas)):
             if not keep[s]:
                 continue
             w = base ** mp.mpf(float(kappas[s]))
             u = [mp.mpf(float(c)) for c in unit_dirs[s]]
-            for i in range(n):
+            for row, ui in zip(rows, u):
+                wu = w * ui
                 for j in range(n):
-                    matrix[i, j] += w * u[i] * u[j]
-        det = mp.det(matrix)
+                    row[j] += wu * u[j]
+        det = mp.det(mp.matrix(rows))
         if det <= 0:
             raise NumericalFailure("covariance lost positive definiteness")
         return float(mp.log(det))
@@ -247,7 +252,7 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
     exponents = [-s.power_exp for s in scheme.streams] + [a for row in strengths for a in row]
     if max(exponents, default=0) > reach:
         raise ValueError(f"a receive exponent beyond ±{reach:.6g} leaves double range at P={P:g}")
-    if any(abs(c) > MAX_ORACLE_COORDINATE for s in scheme.streams for c in s.vector):
+    if any(abs(c) > _MAX_COORDINATE_EXACT for s in scheme.streams for c in s.vector):
         raise ValueError(f"a coordinate beyond {MAX_ORACLE_COORDINATE:.0e} leaves double range")
     directions = np.array([[float(c) for c in s.vector] for s in scheme.streams])
     directions = directions.reshape(-1, scheme.n)  # shape (0, n) when there are no streams

@@ -8,6 +8,7 @@ truth the fast implementations are checked against.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -15,7 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from timtin.model import ChannelMatrix, InvariantViolation, Scheme, Stream, to_fraction
+from timtin.model import (
+    ChannelMatrix, InvariantViolation, NumericalFailure, Scheme, Stream, to_fraction,
+)
 from timtin.tin import Edge, TinSolution
 
 
@@ -387,6 +390,33 @@ def reference_minimize(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b
         if bi < n:
             x[bi] = rows[i][-1]
     return -obj[-1], x
+
+
+# --- reference oracle log-det: the library's earlier arbitrary-precision
+# log-det, kept verbatim, which writes its covariance through mp.matrix
+# indexing one entry at a time.
+
+
+def reference_logdet_mp(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.ndarray) -> float:
+    from mpmath import mp
+
+    n = unit_dirs.shape[1]
+    digits = 30 + int(max(kappas.max(), 0.0) * math.log10(P)) + 2 * n
+    with mp.workdps(digits):
+        matrix = mp.eye(n)
+        base = mp.mpf(P)
+        for s in range(len(kappas)):
+            if not keep[s]:
+                continue
+            w = base ** mp.mpf(float(kappas[s]))
+            u = [mp.mpf(float(c)) for c in unit_dirs[s]]
+            for i in range(n):
+                for j in range(n):
+                    matrix[i, j] += w * u[i] * u[j]
+        det = mp.det(matrix)
+        if det <= 0:
+            raise NumericalFailure("covariance lost positive definiteness")
+        return float(mp.log(det))
 
 
 # --- random instance generators (all on coarse rational grids so exponent

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -290,6 +291,22 @@ def test_oracle_input_beyond_double_range_is_domain_error(
     assert doc["error"].startswith("ValueError: ")
 
 
+@pytest.mark.parametrize("excess, code", [(Fraction(0), 0), (Fraction(1, 10**6), 1)])
+def test_oracle_coordinate_bound_is_exact(capsys, tmp_path, excess, code):
+    """The bound is the double 1e150 read exactly: a coordinate equal to it
+    is evaluated, one a millionth above it is refused before any float()."""
+    topo, scheme_file = tmp_path / "topo.json", tmp_path / "scheme.json"
+    topo.write_text('{"K": 1, "alpha": [[1]]}')
+    coordinate = str(Fraction(1e150) + excess)
+    scheme_file.write_text(json.dumps(
+        {"n": 2, "streams": [{"user": 1, "vector": [1, coordinate], "power_exp": 0}]}
+    ))
+    got, out = run(capsys, "oracle", "-t", str(topo), "-s", str(scheme_file))
+    assert got == code
+    if code:
+        assert json.loads(out)["error"].startswith("ValueError: ")
+
+
 def test_oracle_exponent_at_double_range_edge_is_evaluated(capsys, tmp_path):
     """308 / log10(1e6) = 51.33...: a strength of 51 stays within range."""
     topo, scheme_file = tmp_path / "topo.json", tmp_path / "scheme.json"
@@ -365,3 +382,49 @@ def test_byte_identical_output(files, capsys):
     _, second = run(capsys, "oracle", "-t", str(files / "tiny.json"),
                     "-s", str(files / "tiny_scheme.json"), "-P", "1e6,1e8", "--seed", "1")
     assert first == second
+
+
+def test_shared_parser_leaks_nothing_between_commands(files, capsys, monkeypatch):
+    """One process, one parser: every command prints what it prints with a
+    freshly built parser, and N calls build the top-level parser at most once."""
+    topo, scheme = str(files / "topo.json"), str(files / "scheme.json")
+    oracle = ["oracle", "-t", topo, "-s", scheme]
+    commands = [
+        [*oracle, "-P", "1e3,1e6"],
+        oracle,
+        ["sc", "-t", topo, "-s", scheme],
+        ["tim", "-t", topo, "--threshold", "1/2"],
+        ["tim", "-t", topo],
+        [*oracle, "-P", "1,2,3"],  # usage error
+        oracle,
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in commands:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if kwargs.get("prog") == "timtin":
+            built.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        shared = run_all()
+    assert len(built) <= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_all()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0]
+    assert json.loads(shared[1][1])["P"] == [1000000.0, 10000000000.0]
+    assert shared[6][1] == shared[1][1]

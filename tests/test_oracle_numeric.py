@@ -2,9 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_channel, random_scheme
+from oracles import random_channel, random_scheme, reference_logdet_mp
+from timtin import evaluator
 from timtin.evaluator import (
     finite_p_rate,
     finite_p_stream_rates,
@@ -82,3 +86,19 @@ def test_same_seed_same_rates(network5, baseline_result):
     a = finite_p_rate(baseline_result.scheme, network5, 1e7, seed=3)
     b = finite_p_rate(baseline_result.scheme, network5, 1e7, seed=3)
     assert a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_logdet_mp_matches_reference_to_the_bit(seed):
+    """The list-built mp covariance gives the same float as the earlier
+    entry-by-entry mp.matrix build, on the oracle's own ranges."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 4), rng.randint(1, 10)
+    dirs = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(m)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    kappas = np.array([float(Fraction(rng.randint(-12, 24), 12)) for _ in range(m)])
+    P = 10 ** rng.uniform(10, 12)
+    keep = np.array([rng.random() < 0.6 for _ in range(m)])
+    keep[rng.randrange(m)] = True
+    assert evaluator._logdet_mp(dirs, kappas, P, keep) == reference_logdet_mp(dirs, kappas, P, keep)

@@ -158,7 +158,7 @@ def test_isolated_user_next_to_half_rate_pair():
     ]
 
 
-def test_greedy_path_on_large_component():
+def test_exact_lp_colors_large_complete_component():
     K = 13
     topo = TimTopology(K, frozenset((k, i) for k in range(K) for i in range(K) if k != i))
     sol, _ = realization(topo)
