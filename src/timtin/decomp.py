@@ -27,15 +27,15 @@ from .model import (
     DimensionMismatch,
     MapMismatch,
     Scheme,
-    Stream,
     WeightMismatch,
     to_fraction,
 )
 from .tim import TimSolution, TimTopology, tim_solve
 
 
-# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.3 ms each (the
-# 5-user reference network; more users cost more) is already ~5 minutes.
+# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.2 ms each (the
+# 5-user reference network on a 2-vCPU VM; more users cost more) is
+# already ~3.5 minutes.
 # Exhaustive masks are a lazy range; the search keeps one result per
 # distinct verified tuple, one memo entry per distinct scheme and one per
 # distinct TIM graph pair, so its memory grows with those counts, not
@@ -88,12 +88,14 @@ def synthesize_scheme(
     exponent (the fraction lives in the dimension count, not the power)."""
     if not tin_sol.feasible or tin_sol.r is None:
         raise ValueError("cannot synthesize from an infeasible power allocation")
-    streams = tuple(
-        Stream(user, vector, tin_sol.r[user])
-        for user in range(channel.K)
-        for vector in tim_sol.directions[user]
+    return Scheme.from_rows(
+        tim_sol.n,
+        (
+            (user, vector, tin_sol.r[user])
+            for user in range(channel.K)
+            for vector in tim_sol.directions[user]
+        ),
     )
-    return Scheme(tim_sol.n, streams)
 
 
 def evaluate_map(
@@ -105,45 +107,64 @@ def evaluate_map(
     """Solve both components of one decomposition, synthesize the combined
     scheme, and verify the per-user products on the original channel.
     ``memo`` is handed to tim_solve as its solution and coloring memo.
-    ``verifications`` maps (block length, TIM directions, power exponents),
-    the values that determine the synthesized scheme, to that scheme and
-    its verified tuple on this channel; search passes one dict per call,
-    so each distinct scheme is synthesized and verified once per search
-    and maps that share it share one Scheme object.  Products and the
-    verdict are still computed per map."""
+    ``verifications`` maps (block length, TIM directions, power exponents
+    as numerator/denominator pairs), the values that determine the
+    synthesized scheme, to that scheme and its verified tuple on this
+    channel; search passes one dict per call, so each distinct scheme is
+    synthesized and verified once per search and maps that share it share
+    one Scheme object.  Products and the verdict are still computed per
+    map."""
     tin_links, tim_topology = split(channel, dmap)
-    _, tin_sol = tin.tin_symmetric(channel, tin_links)
+    heard = tin.Heard.of(channel, tin_links)  # shared by every TIN solve of this map
+    _, tin_sol = tin.tin_symmetric(channel, heard)
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
-    tin_fractions = tin.single_level_gdof(channel, tin_sol.r, tin_links)
+    tin_fractions = tin.single_level_gdof(channel, tin_sol.r, heard)
     tim_sol = tim_solve(tim_topology, memo)
-    products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
+    # Products and the verdict on numerator/denominator pairs: one Fraction
+    # per product, built for the result, and no Fraction arithmetic.
+    pairs = [
+        (a.numerator * b.numerator, a.denominator * b.denominator)
+        for a, b in zip(tin_fractions, tim_sol.fractions)
+    ]
     if verifications is None:
         verifications = {}
-    key = (tim_sol.n, tim_sol.directions, tin_sol.r)
+    key = (tim_sol.n, tim_sol.directions, _pairs(tin_sol.r))
     verification = verifications.get(key)
     if verification is None:
         scheme = synthesize_scheme(tin_sol, tim_sol, channel)
-        verification = verifications[key] = scheme, tuple(
-            evaluator.user_gdof(scheme, channel, k).gdof for k in range(channel.K)
-        )
-    scheme, verified = verification
+        verified = tuple(evaluator.user_gdof(scheme, channel, k).gdof for k in range(channel.K))
+        verification = verifications[key] = scheme, verified, _pairs(verified)
+    scheme, verified, verified_pairs = verification
     return DecompositionResult(
         map=dmap,
         tin_fractions=tin_fractions,
         tim_fractions=tim_sol.fractions,
-        products=products,
+        products=tuple(Fraction(n, d) for n, d in pairs),
         scheme=scheme,
         verified=verified,
-        verdict=all(v >= p for v, p in zip(verified, products)),
+        verdict=_dominates(verified_pairs, pairs),
         tim_method=tim_sol.method,
         power_exponents=tin_sol.r,
     )
 
 
-def _mask_to_map(links: Sequence[tuple[int, int]], mask: int) -> DecompositionMap:
-    tim_links = frozenset(l for b, l in enumerate(links) if mask & (1 << b))
-    return DecompositionMap(tim_links, frozenset(links) - tim_links)
+def _pairs(values: Sequence[Fraction]) -> tuple[tuple[int, int], ...]:
+    """Exact values as (numerator, denominator) pairs: equal exactly when the
+    values are, and hashed without Fraction arithmetic."""
+    return tuple((x.numerator, x.denominator) for x in values)
+
+
+def _dominates(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the values given by pairs a are componentwise at least b's."""
+    return all(an * bd >= bn * ad for (an, ad), (bn, bd) in zip(a, b))
+
+
+def _mask_to_map(links: Sequence[tuple[int, int]], every: frozenset, mask: int) -> DecompositionMap:
+    """The map that sends link b of ``links`` (whose set is ``every``) to TIM
+    when bit b of mask is set, and the rest to TIN."""
+    tim_links = frozenset(l for b, l in enumerate(links) if mask >> b & 1)
+    return DecompositionMap(tim_links, every - tim_links)
 
 
 def candidate_masks(channel: ChannelMatrix, budget: SearchBudget) -> Sequence[int]:
@@ -171,23 +192,26 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
     """
     budget = budget or SearchBudget()
     links = channel.cross_links()
-    # candidate_masks ascends and each tuple keeps the first result seen,
-    # so both dicts (insertion-ordered) are already in mask order.
+    every = frozenset(links)
+    # candidate_masks ascends and each verified tuple keeps the first result
+    # seen, so both dicts (insertion-ordered) are already in mask order.
+    # They are keyed on the tuple's (numerator, denominator) pairs.
     passed: dict[tuple, DecompositionResult] = {}
     failed: dict[tuple, DecompositionResult] = {}
     memo: dict = {}  # TIM graph pairs and subproblems repeat across maps
     verifications: dict = {}  # and so do synthesized schemes
     for mask in candidate_masks(channel, budget):
-        result = evaluate_map(channel, _mask_to_map(links, mask), memo, verifications)
-        (passed if result.verdict else failed).setdefault(result.verified, result)
+        result = evaluate_map(channel, _mask_to_map(links, every, mask), memo, verifications)
+        (passed if result.verdict else failed).setdefault(_pairs(result.verified), result)
     # A dominator has a strictly larger sum and dominance is transitive, so
     # in descending-sum order each tuple need only be tested against the
     # undominated tuples kept before it.
-    undominated: set[tuple] = set()
-    for tup in sorted(passed, key=sum, reverse=True):
-        if not any(all(o >= t for o, t in zip(other, tup)) for other in undominated):
-            undominated.add(tup)
-    frontier = [res for tup, res in passed.items() if tup in undominated]
+    undominated: list[tuple] = []
+    for key in sorted(passed, key=lambda key: sum(passed[key].verified), reverse=True):
+        if not any(_dominates(other, key) for other in undominated):
+            undominated.append(key)
+    kept = set(undominated)
+    frontier = [res for key, res in passed.items() if key in kept]
     return frontier + list(failed.values())
 
 

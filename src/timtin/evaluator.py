@@ -26,6 +26,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ from .model import (
 MAX_ORACLE_POWER = 1e12
 MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
 _MAX_COORDINATE_EXACT = Fraction(MAX_ORACLE_COORDINATE)  # what a Fraction compares against
+_INT = frozenset({int})
 
 
 def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fraction | int:
@@ -68,22 +70,25 @@ def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fractio
             raise DimensionMismatch(
                 f"vector of length {len(vector)} in a {n}-dimensional family"
             )
-    ordered = sorted((p for p in pairs if p[1] >= 0), key=lambda p: -p[1])
-    basis: list[list[int]] = []  # gcd-reduced integer echelon rows
+    # reverse keeps equal exponents in their given order, as a stable sort does
+    ordered = sorted([p for p in pairs if p[1] >= 0], key=itemgetter(1), reverse=True)
+    basis: list[Sequence[int]] = []  # gcd-reduced integer echelon rows
     pivots: list[int] = []
     total = 0 * pairs[0][1]  # zero of the exponents' type
     for vector, exponent in ordered:
-        v = vector if all(type(c) is int for c in vector) else integer_row(vector)
+        v = vector if {*map(type, vector)} == _INT else integer_row(vector)
         for row, j in zip(basis, pivots):
             c = v[j]
             if c:
                 a = row[j]
                 v = [a * x - c * y for x, y in zip(v, row)]
-        pivot = next((i for i, c in enumerate(v) if c != 0), None)
-        if pivot is None:
+        for pivot, c in enumerate(v):
+            if c:
+                break
+        else:  # dependent on the rows kept
             continue
         g = math.gcd(*v)
-        basis.append([c // g for c in v])
+        basis.append(v if g == 1 else [c // g for c in v])
         pivots.append(pivot)
         total += exponent
         if len(basis) == n:
@@ -105,14 +110,15 @@ def _exponents_after(
     scheme: Scheme, channel: ChannelMatrix, k: int, decodeds: Iterable[int]
 ) -> tuple[list[int], int]:
     """Receiver k's log-det exponents after each number of decoded own
-    streams, as integers over one denominator E, returned alongside."""
-    S = channel.scale
-    E = math.lcm(S, *(s.power_exp.denominator for s in scheme.streams))
-    row = channel.scaled[k]
-    users = [s.user for s in scheme.streams]
+    streams, as integers over one denominator E, returned alongside.  The
+    scheme's users, integer rows and scaled powers are cached on it, so
+    only the receive strengths are read per receiver."""
+    S, (Q, powers), users = channel.scale, scheme.scaled_powers, scheme.users
+    E = math.lcm(S, Q)
+    row, per_strength, per_power = channel.scaled[k], E // S, E // Q
     pairs = [
-        (vector, row[s.user] * (E // S) + s.power_exp.numerator * (E // s.power_exp.denominator))
-        for vector, s in zip(scheme.rows, scheme.streams)
+        (vector, row[u] * per_strength + p * per_power)
+        for vector, u, p in zip(scheme.rows, users, powers)
     ]
     exps = [logdet_exponent(list(compress(pairs, _undecoded(users, k, d)))) for d in decodeds]
     return exps, E
@@ -136,7 +142,7 @@ def _per_stream(exps: Sequence[int], n: int, E: int) -> tuple[Fraction, ...]:
 def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     """GDoF of user k: exponents of the two determinants and their scaled
     difference."""
-    b = len(scheme.streams_of(k))
+    b = scheme.users.count(k)
     (combined, interference), E = _exponents_after(scheme, channel, k, (0, b))
     return _user_from(k, combined, interference, scheme.n, E)
 
@@ -148,7 +154,7 @@ def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fra
     moved from the undecoded to the decoded side; the values telescope so
     their sum equals user_gdof(k) exactly.
     """
-    b = len(scheme.streams_of(k))
+    b = scheme.users.count(k)
     exps, E = _exponents_after(scheme, channel, k, range(b + 1))
     return _per_stream(exps, scheme.n, E)
 
@@ -161,7 +167,7 @@ def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
     users = []
     per_stream = []
     for k in range(channel.K):
-        b = len(scheme.streams_of(k))
+        b = scheme.users.count(k)
         exps, E = _exponents_after(scheme, channel, k, range(b + 1))
         u = _user_from(k, exps[0], exps[b], scheme.n, E)
         sc = _per_stream(exps, scheme.n, E)

@@ -1,9 +1,21 @@
-"""Tiny exact-rational simplex for fractional set cover: the least total
-weight on a family of sets that covers every member at least once,
+"""Tiny exact simplex for fractional set cover: the least total weight on a
+family of sets that covers every member at least once,
 min 1.x s.t. A x >= 1, x >= 0 with A the 0/1 member-by-set incidence.
-Two-phase Fraction tableau under Bland's rule, so it terminates at a basic
-optimum with exact rational coordinates; sized for fractional coloring
-over maximal independent sets."""
+Two-phase tableau under Bland's rule, so it terminates at a basic optimum
+with exact rational coordinates; sized for fractional coloring over
+maximal independent sets.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every entry is
+an integer over one common denominator d, the determinant of the current
+basis, which may be negative.  Pivoting on entry p maps every other row,
+the objective included, to (p*x - f*y) // d, where f is that row's entry
+in the pivot column and y the pivot row; by Sylvester's identity the
+division is exact.  The pivot row stays as it is and the new
+denominator is p.  Bland's entering rule and the ratio test read signs
+and cross-multiplied ratios, so the pivot path, and with it the vertex,
+is the one a Fraction tableau takes.  Fractions are built only for the
+returned value and weights.
+"""
 
 from __future__ import annotations
 
@@ -13,36 +25,43 @@ from typing import Collection, Sequence
 from .model import InvariantViolation
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r: int, c: int):
-    piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
+def _pivot(rows: list[list[int]], obj: list[int], basis: list[int], d: int, r: int, c: int) -> int:
+    """Pivot on rows[r][c] of a tableau over denominator d; return the new one."""
+    p, pivot_row = rows[r][c], rows[r]
     for i, row in enumerate(rows):
-        if i != r and row[c]:
+        if i != r:
             f = row[c]
-            rows[i] = [x - f * y for x, y in zip(row, rows[r])]
-    if obj[c]:
-        f = obj[c]
-        obj[:] = [x - f * y for x, y in zip(obj, rows[r])]
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    f = obj[c]
+    obj[:] = [(p * x - f * y) // d for x, y in zip(obj, pivot_row)]
     basis[r] = c
+    return p
 
 
-def _run(rows, obj, basis, allowed):
+def _run(rows: list[list[int]], obj: list[int], basis: list[int], d: int, allowed) -> int:
+    """Bland's rule to optimality from denominator d; return the final one."""
     while True:
-        entering = next((j for j in allowed if obj[j] < 0), None)
+        # entry x stands for x / d, so it is negative when x and d differ in sign
+        entering = next((j for j in allowed if obj[j] * d < 0), None)
         if entering is None:
-            return
+            return d
         best = None
         for i, row in enumerate(rows):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+            a = row[entering]
+            if a * d > 0:
+                if best is None:
+                    best = i
+                    continue
+                # rhs / a against the best row's ratio; both columns share d's sign
+                b = rows[best]
+                lhs, rhs = row[-1] * b[entering], b[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:  # the cover's objective is bounded below by 0
             raise InvariantViolation(f"covering program unbounded in column {entering}")
-        _pivot(rows, obj, basis, best[1], entering)
+        d = _pivot(rows, obj, basis, d, best, entering)
 
 
 def minimize(sets: Sequence[Collection], members: Sequence):
@@ -51,29 +70,29 @@ def minimize(sets: Sequence[Collection], members: Sequence):
     n, m = len(sets), len(members)
     # columns: x (n) | surplus (m) | rhs.  Row i starts on an artificial that
     # never enters, so it has no column, only a label above every real column.
-    rows = [[ONE if v in s else ZERO for s in sets] + [ZERO] * m + [ONE] for v in members]
+    rows = [[int(v in s) for s in sets] + [0] * m + [1] for v in members]
     for i, row in enumerate(rows):
-        row[n + i] = -ONE
+        row[n + i] = -1
     basis = [n + m + i for i in range(m)]
 
     # phase 1: minimize the artificial sum, priced out: negated column sums
-    obj = [-sum((row[j] for row in rows), ZERO) for j in range(n + m + 1)]
-    _run(rows, obj, basis, range(n + m))
+    obj = [-sum(row[j] for row in rows) for j in range(n + m + 1)]
+    d = _run(rows, obj, basis, 1, range(n + m))
     if obj[-1]:
         raise InvariantViolation("a member lies in none of the sets")
     for i in range(m):  # drive leftover artificials out of the basis
         if basis[i] >= n + m:
             col = next((j for j in range(n + m) if rows[i][j] != 0), None)
             if col is not None:
-                _pivot(rows, obj, basis, i, col)
+                d = _pivot(rows, obj, basis, d, i, col)
 
-    # phase 2: unit cost on each set, priced out over the basic x columns
-    obj = [ONE] * n + [ZERO] * (m + 1)
+    # phase 2: unit cost on each set, priced out over the basic x columns;
+    # a basic column holds d in its row, so pricing one out subtracts the row
+    obj = [d] * n + [0] * (m + 1)
     for i, row in enumerate(rows):
-        if basis[i] < n and obj[basis[i]]:
-            f = obj[basis[i]]
-            obj = [x - f * y for x, y in zip(obj, row)]
-    _run(rows, obj, basis, range(n + m))
+        if basis[i] < n:
+            obj = [x - y for x, y in zip(obj, row)]
+    d = _run(rows, obj, basis, d, range(n + m))
 
-    x = {bi: rows[i][-1] for i, bi in enumerate(basis) if bi < n}
-    return -obj[-1], [x.get(j, ZERO) for j in range(n)]
+    x = {bi: Fraction(rows[i][-1], d) for i, bi in enumerate(basis) if bi < n}
+    return Fraction(-obj[-1], d), [x.get(j, ZERO) for j in range(n)]

@@ -216,9 +216,9 @@ class Stream:
     power_exp: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(to_fraction(c) for c in self.vector))
+        object.__setattr__(self, "vector", tuple(map(to_fraction, self.vector)))
         object.__setattr__(self, "power_exp", to_fraction(self.power_exp))
-        if not self.vector or all(c == 0 for c in self.vector):
+        if not any(self.vector):
             raise EmptyVector(f"stream of user {self.user} has no direction")
         if self.power_exp > 0:
             raise PositivePowerExponent(
@@ -247,6 +247,20 @@ class Scheme:
                     f"stream of user {s.user} has {len(s.vector)} coordinates, block is {self.n}"
                 )
 
+    @classmethod
+    def from_rows(cls, n: int, streams: Iterable[tuple[int, tuple[int, ...], Fraction]]) -> Scheme:
+        """A scheme from (user, integer direction, power exponent) triples.
+        Each stream's vector holds the direction as Fractions, one object
+        per distinct coordinate, and ``rows`` keeps the integers as given:
+        integer_row of an integer vector is that vector."""
+        triples = list(streams)
+        fractions = {c: Fraction(c) for c in {c for _, row, _ in triples for c in row}}
+        scheme = cls(n, tuple(
+            Stream(u, tuple(map(fractions.__getitem__, row)), p) for u, row, p in triples
+        ))
+        scheme.__dict__["rows"] = tuple(row for _, row, _ in triples)  # the cached_property's slot
+        return scheme
+
     def streams_of(self, user: int) -> tuple[Stream, ...]:
         return tuple(s for s in self.streams if s.user == user)
 
@@ -254,6 +268,19 @@ class Scheme:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Each stream's vector as an integer row (see integer_row)."""
         return tuple(integer_row(s.vector) for s in self.streams)
+
+    @cached_property
+    def users(self) -> tuple[int, ...]:
+        """Each stream's user, in stream order."""
+        return tuple(s.user for s in self.streams)
+
+    @cached_property
+    def scaled_powers(self) -> tuple[int, tuple[int, ...]]:
+        """(Q, N): Q the lcm of the power-exponent denominators and N each
+        stream's power exponent times Q, in stream order."""
+        powers = [s.power_exp for s in self.streams]
+        Q = lcm(*(p.denominator for p in powers))
+        return Q, tuple(p.numerator * (Q // p.denominator) for p in powers)
 
 
 def validate_scheme(scheme: Scheme, channel: ChannelMatrix) -> Scheme:

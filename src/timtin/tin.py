@@ -28,6 +28,11 @@ The arithmetic runs on Python ints, scaled by the channel's S (A = S *
 alpha): targets are d_k = D_k / (m * S) for one integer m, so an edge from
 user k to j weighs m * (A_kk - A_kj) - D_k, and Dinkelbach keeps t as the
 pair (C, m) of t = C / (m * S).  Values become Fractions in a TinSolution.
+Every solver reads its links as per-receiver heard lists (``Heard``); a
+caller that solves one link set several times, as a decomposition search
+does for each map, builds them once and passes them in place of the links.
+Likewise tin_feasible reads its targets as ``Scaled`` (m, D), which
+Dinkelbach passes it directly, so its steps build no Fraction targets.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .model import ChannelMatrix, InvariantViolation, to_fraction
 
@@ -59,21 +64,49 @@ class TinSolution:
     negative_cycle: tuple[Edge, ...] | None
 
 
-def _present(channel: ChannelMatrix, links: Links | None) -> frozenset[tuple[int, int]]:
-    """The present cross links of the channel that lie in links (all when None)."""
-    return channel.link_set if links is None else channel.link_set.intersection(links)
+class Heard(tuple):
+    """Per receiver k, the ascending transmitters j of the present cross
+    links (k, j) treated as noise: a link set as the solvers read it.
+    Every solver takes one in place of ``links``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, channel: ChannelMatrix, links: Links | None = None) -> Heard:
+        """The heard lists of the present cross links in links (all when None)."""
+        present = channel.link_set if links is None else channel.link_set.intersection(links)
+        heard: list[list[int]] = [[] for _ in range(channel.K)]
+        for k, j in sorted(present):  # edge order decides which negative cycle is found
+            heard[k].append(j)
+        return cls(map(tuple, heard))
 
 
-def _heard(channel: ChannelMatrix, links: Links | None) -> list[list[int]]:
-    """Per receiver k, the transmitters j of present links (k, j) in links."""
-    heard: list[list[int]] = [[] for _ in range(channel.K)]
-    for k, j in sorted(_present(channel, links)):  # edge order decides which negative cycle is found
-        heard[k].append(j)
-    return heard
+def _heard(channel: ChannelMatrix, links: Links | Heard | None) -> Heard:
+    return links if isinstance(links, Heard) else Heard.of(channel, links)
+
+
+class Scaled(NamedTuple):
+    """Targets d_k = D[k] / (m * S), S the channel's scale: a target tuple
+    as the solvers read it.  tin_feasible takes one in place of targets."""
+
+    m: int
+    D: tuple[int, ...]
+
+
+def _scaled(channel: ChannelMatrix, targets: Sequence | Scaled) -> Scaled:
+    if not isinstance(targets, Scaled):
+        d = tuple(to_fraction(t) for t in targets)
+        m = lcm(*(t.denominator for t in d))
+        targets = Scaled(m, tuple(t.numerator * (m // t.denominator) * channel.scale for t in d))
+    if len(targets.D) != channel.K:
+        raise ValueError(f"expected {channel.K} targets, got {len(targets.D)}")
+    if any(x < 0 for x in targets.D):
+        raise ValueError("targets must be nonnegative")
+    return targets
 
 
 def single_level_gdof(
-    channel: ChannelMatrix, r: Sequence[Fraction], links: Links | None = None
+    channel: ChannelMatrix, r: Sequence[Fraction], links: Links | Heard | None = None
 ) -> tuple[Fraction, ...]:
     """GDoF tuple of the one-stream-per-user, single-use scheme with power
     exponents r, treating the interference of ``links`` as noise."""
@@ -85,29 +118,32 @@ def single_level_gdof(
     )
 
 
-def _edges(channel: ChannelMatrix, links: Links | None, m: int, D: Sequence[int]):
+def _edges(channel: ChannelMatrix, heard: Heard, m: int, D: Sequence[int]):
     K, A = channel.K, channel.scaled
     edges = [(K, k, 0) for k in range(K)]  # r_k <= 0
-    for k, heard in enumerate(_heard(channel, links)):
+    for k, js in enumerate(heard):
         if D[k] > 0:
             own = m * A[k][k] - D[k]
             edges.append((k, K, own))  # r_k >= d_k - a_kk
-            edges.extend((k, j, own - m * A[k][j]) for j in heard)  # r_k - r_j >= d_k - a_kk + a_kj
+            edges.extend((k, j, own - m * A[k][j]) for j in js)  # r_k - r_j >= d_k - a_kk + a_kj
     return edges
 
 
-def _bellman_ford(n_nodes: int, edges, source: int):
-    """Shortest paths from source; returns (dist, None) or (None, negative_cycle)."""
-    dist = [None] * n_nodes
-    dist[source] = 0
-    pred = [-1] * n_nodes
+def _bellman_ford(K: int, edges):
+    """Shortest paths from the anchor K over _edges, whose first K edges
+    (K, k, 0) give every node the potential 0 in the first pass: the
+    potentials start there, the anchor's edge to k as k's predecessor.
+    Returns (dist, None) or (None, negative_cycle)."""
+    n_nodes = K + 1
+    dist = [0] * n_nodes
+    pred = [*range(K), -1]
     trigger = -1
     for _ in range(n_nodes):
         changed = False
         for idx, (u, v, w) in enumerate(edges):
-            du = dist[u]
-            if du is not None and (dist[v] is None or du + w < dist[v]):
-                dist[v] = du + w
+            du = dist[u] + w
+            if du < dist[v]:
+                dist[v] = du
                 pred[v] = idx
                 changed = True
                 trigger = v
@@ -129,18 +165,15 @@ def _bellman_ford(n_nodes: int, edges, source: int):
     return None, cycle
 
 
-def tin_feasible(channel: ChannelMatrix, targets: Sequence, links: Links | None = None) -> TinSolution:
+def tin_feasible(
+    channel: ChannelMatrix, targets: Sequence | Scaled, links: Links | Heard | None = None
+) -> TinSolution:
     """Decide whether the target GDoF tuple is achievable by power control
-    with the interference of ``links`` treated as noise."""
+    with the interference of ``links`` treated as noise.  The targets may
+    come as a ``Scaled`` and the links as a ``Heard``."""
     K, S = channel.K, channel.scale
-    d = tuple(to_fraction(t) for t in targets)
-    if len(d) != K:
-        raise ValueError(f"expected {K} targets, got {len(d)}")
-    m = lcm(*(t.denominator for t in d))
-    D = [t.numerator * (m // t.denominator) * S for t in d]
-    if any(x < 0 for x in D):
-        raise ValueError("targets must be nonnegative")
-    dist, cycle = _bellman_ford(K + 1, _edges(channel, links, m, D), K)
+    m, D = _scaled(channel, targets)
+    dist, cycle = _bellman_ford(K, _edges(channel, _heard(channel, links), m, D))
     if cycle is not None:
         return TinSolution(False, None, tuple((u, v, Fraction(w, m * S)) for u, v, w in cycle))
     if dist[K] != 0:
@@ -148,7 +181,9 @@ def tin_feasible(channel: ChannelMatrix, targets: Sequence, links: Links | None 
     return TinSolution(True, tuple(Fraction(x, m * S) for x in dist[:K]), None)
 
 
-def tin_symmetric(channel: ChannelMatrix, links: Links | None = None) -> tuple[Fraction, TinSolution]:
+def tin_symmetric(
+    channel: ChannelMatrix, links: Links | Heard | None = None
+) -> tuple[Fraction, TinSolution]:
     """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible
     with the interference of ``links`` treated as noise.
 
@@ -162,20 +197,23 @@ def tin_symmetric(channel: ChannelMatrix, links: Links | None = None) -> tuple[F
     at most t, so it is negative at every larger target.
     """
     K, S, A = channel.K, channel.scale, channel.scaled
-    present = _present(channel, links)
+    heard = _heard(channel, links)
     # Start ratios as C / (2S).  A link (k, j) closes through (j, k) when
     # that is a link too (A_jk > 0 makes it the tighter cycle), else
     # through the anchor.
     C = min(
         [2 * A[k][k] for k in range(K)]
-        + [A[k][k] - A[k][j] + A[j][j] - (A[j][k] if (j, k) in present else 0) for k, j in present]
+        + [
+            A[k][k] - A[k][j] + A[j][j] - (A[j][k] if k in heard[j] else 0)
+            for k, js in enumerate(heard)
+            for j in js
+        ]
     )
     C, m = max(C, 0), 2
     while True:
-        t = Fraction(C, m * S)
-        sol = tin_feasible(channel, [t] * K, links)
+        sol = tin_feasible(channel, Scaled(m, (C,) * K), heard)
         if sol.feasible:
-            return t, sol
+            return Fraction(C, m * S), sol
         # Edges leaving user u cost S * (a_uu - a_uv), or S * a_uu into the
         # anchor; edges leaving the anchor cost 0.
         user_edges = [(u, v) for u, v, _ in sol.negative_cycle if u != K]

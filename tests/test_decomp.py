@@ -200,7 +200,7 @@ def test_search_results_in_mask_order(cap):
     budget = decomp.SearchBudget(exhaustive_cap=cap)
     first_mask = {}
     for mask in decomp.candidate_masks(cm, budget):
-        verified = decomp.evaluate_map(cm, decomp._mask_to_map(links, mask)).verified
+        verified = decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask)).verified
         first_mask.setdefault(verified, mask)
     results = decomp.search(cm, budget)
     for group in ([r for r in results if r.verdict], [r for r in results if not r.verdict]):
@@ -217,7 +217,7 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
     distinct = {
-        decomp.evaluate_map(cm, decomp._mask_to_map(links, mask)).scheme
+        decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask)).scheme
         for mask in range(1 << len(links))
     }
     synthesize, user_gdof = decomp.synthesize_scheme, evaluator.user_gdof
@@ -251,7 +251,7 @@ def test_shared_memos_match_memo_less_evaluation(seed):
     links = cm.cross_links()
     memo, verifications = {}, {}
     for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=6)):
-        dmap = decomp._mask_to_map(links, mask)
+        dmap = decomp._mask_to_map(links, frozenset(links), mask)
         shared = decomp.evaluate_map(cm, dmap, memo, verifications)
         alone = decomp.evaluate_map(cm, dmap)
         for field in fields(shared):
@@ -270,7 +270,7 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
     links = cm.cross_links()
     passed = {}
     for mask in decomp.candidate_masks(cm, budget):
-        result = decomp.evaluate_map(cm, decomp._mask_to_map(links, mask))
+        result = decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask))
         if result.verdict:
             passed.setdefault(result.verified, result)
     expected = [

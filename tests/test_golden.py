@@ -5,6 +5,10 @@ files it emits), ``tin``, ``tim`` and ``eval``/``sc`` on every emitted
 frontier scheme is hashed into one sha256 and compared with the digest
 recorded in ``GOLDEN``.  A refactor must leave every digest unchanged.
 ``oracle`` is left out: its floats depend on the numpy/BLAS build.
+
+``MAP_GOLDEN`` pins every evaluated map, not only the frontier: for each
+network in it, the ``decompose`` document of ``decomp.evaluate_map`` on
+each candidate mask, in mask order, with one memo per network.
 """
 
 import contextlib
@@ -15,9 +19,9 @@ import random
 import pytest
 
 from oracles import MIXED_CROSS, MIXED_DIAG, random_channel
-from timtin import cli
+from timtin import cli, decomp
 from timtin.fixtures import five_user_network
-from timtin.model import emit_topology
+from timtin.model import DecompositionMap, dumps, emit_topology
 
 # network name -> (channel, extra decompose options)
 NETWORKS = {
@@ -87,4 +91,36 @@ def test_cli_documents_unchanged(name, tmp_path):
     assert got == GOLDEN[name], (
         f"CLI documents for {name!r} changed (sha256 {got}). If the change is "
         "intended, update GOLDEN in tests/test_golden.py and say so in CHANGES.md."
+    )
+
+
+# recorded before the integer simplex and the int-only per-map path
+MAP_GOLDEN = {
+    "reference": "4756490efca2386c463dada88ff6078af06db3934ca8a3681c909d2a9d00939b",
+    "seeded4": "8e90150b0b9e1cb36446e82e197822603352835e01ea9cc9198b7d594ab93980",
+    "seeded4-mixed": "2945355392d3922114ff0efdf56f8ac25c9aeafe10500dfb245401f1bac95235",
+    "seeded8-threshold": "f959da25c43eb7332938bd66524689f6dbb4625b6d0e26b94f55f2659027f2d9",
+}
+
+
+def per_map_digest(channel, options) -> str:
+    """sha256 over the result document of every candidate map, in mask order."""
+    budget = decomp.SearchBudget(int(options[1])) if options else decomp.SearchBudget()
+    links = channel.cross_links()
+    memo, verifications = {}, {}
+    digest = hashlib.sha256()
+    for mask in decomp.candidate_masks(channel, budget):
+        tim = frozenset(l for b, l in enumerate(links) if mask >> b & 1)
+        dmap = DecompositionMap(tim, frozenset(links) - tim)
+        result = decomp.evaluate_map(channel, dmap, memo, verifications)
+        digest.update(f"{mask}\n{dumps(cli._result_doc(result))}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MAP_GOLDEN))
+def test_every_map_document_unchanged(name):
+    got = per_map_digest(*NETWORKS[name])
+    assert got == MAP_GOLDEN[name], (
+        f"per-map documents for {name!r} changed (sha256 {got}). If the change is "
+        "intended, update MAP_GOLDEN in tests/test_golden.py and say so in CHANGES.md."
     )

@@ -189,6 +189,21 @@ def test_scheme_round_trip(data):
     assert parse_scheme(emit_scheme(scheme)) == scheme
 
 
+def test_scheme_from_rows_equals_the_stream_built_scheme():
+    triples = [
+        (0, (1, 0, 3), Fraction(-1, 2)),
+        (1, (0, 1, -2), Fraction(0)),
+        (0, (0, 0, 1), Fraction(-1, 2)),
+    ]
+    built = Scheme.from_rows(3, triples)
+    expected = Scheme(3, tuple(Stream(u, row, p) for u, row, p in triples))
+    assert built == expected and repr(built) == repr(expected)
+    assert all(type(c) is Fraction for s in built.streams for c in s.vector)
+    assert built.rows == expected.rows == tuple(row for _, row, _ in triples)
+    assert built.users == (0, 1, 0)
+    assert built.scaled_powers == (2, (-1, 0, -1))
+
+
 def test_map_round_trip():
     dmap = DecompositionMap(frozenset({(0, 3), (1, 0)}), frozenset({(0, 1)}))
     assert parse_decomposition_map(emit_decomposition_map(dmap)) == dmap

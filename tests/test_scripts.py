@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -32,3 +33,55 @@ def test_five_user_study_writes_the_search_frontier(tmp_path):
     ]
     assert report["frontier"] == expected
     assert len(list(tmp_path.glob("scheme_*.json"))) == len(expected)
+
+
+def load_bench_pairs():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(run_ref_s, throughput, failed=0, attempted=10, correct=True):
+    """A perfbench result line as `perfbench/run.py --trace 0` prints it."""
+    return {
+        "correct": correct,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {
+            "run_ref_s": {"value": run_ref_s, "unit": "s"},
+            "throughput_ref_per_s": {"value": throughput, "unit": "1/s"},
+        },
+    }
+
+
+def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
+    bench_pairs = load_bench_pairs()
+    pairs = [
+        {"parent": result_line(0.50, 100), "change": result_line(0.40, 125)},
+        {"parent": result_line(0.52, 96), "change": result_line(0.41, 122, failed=1)},
+        {"parent": result_line(0.48, 104), "change": result_line(0.49, 102)},
+        {"parent": result_line(0.54, 93, correct=False), "change": result_line(0.42, 119)},
+    ]
+    better = {"run_ref_s": "lower", "throughput_ref_per_s": "higher", "peak_rss_mb": "lower"}
+    summary = bench_pairs.summarize(pairs, better)
+    run = summary["metrics"]["run_ref_s"]
+    assert run["change_wins"] == 3 and run["pairs"] == 4
+    assert run["parent"] == {"median": 0.51, "q1": 0.495, "q3": 0.525}
+    assert run["change"]["median"] == 0.415
+    assert run["values"] == {"parent": [0.50, 0.52, 0.48, 0.54], "change": [0.40, 0.41, 0.49, 0.42]}
+    assert summary["metrics"]["throughput_ref_per_s"]["change_wins"] == 3
+    assert "peak_rss_mb" not in summary["metrics"]  # in no line
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["attempted"] == {"parent": 40, "change": 40}
+    assert summary["incorrect_runs"] == {"parent": 1, "change": 0}
+
+
+def test_bench_pairs_summary_of_one_pair_and_of_ties():
+    bench_pairs = load_bench_pairs()
+    pairs = [{"parent": result_line(0.5, 100), "change": result_line(0.5, 100)}]
+    summary = bench_pairs.summarize(pairs, {"run_ref_s": "lower", "throughput_ref_per_s": "higher"})
+    for name in ("run_ref_s", "throughput_ref_per_s"):
+        assert summary["metrics"][name]["change_wins"] == 0  # a tie is no win
+    assert summary["metrics"]["run_ref_s"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}

@@ -233,10 +233,14 @@ def test_integer_core_matches_fraction_reference(seed):
     sub = tin_subchannel(cm, links)
     t_ref, sol_ref = reference_tin_symmetric(sub)
     targets = [rng.choice([0, *MIXED_CROSS]) for _ in range(K)]
-    for given_links in (links, links | junk):
+    # the heard lists built once stand in for the link set in every solver
+    for given_links in (links, links | junk, tin.Heard.of(cm, links | junk)):
         t, sol = tin_symmetric(cm, given_links)
         assert (t, sol.r) == (t_ref, sol_ref.r)
         assert single_level_gdof(cm, sol.r, given_links) == tuple(single_stream_gdof(sub, sol_ref.r))
+        # t = C / (m * S) as the scaled targets Dinkelbach passes
+        scaled = tin.Scaled(t.denominator, (t.numerator * cm.scale,) * K)
+        assert tin_feasible(cm, scaled, given_links) == tin_feasible(cm, [t] * K, given_links)
 
         above = [t + Fraction(1, 10**9)] * K
         for d in (above, targets):
