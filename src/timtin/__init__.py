@@ -4,6 +4,7 @@ channels known only through coarse channel-strength exponents."""
 from .decomp import (
     DecompositionResult,
     SearchBudget,
+    SearchReport,
     evaluate_map,
     search,
     split,

@@ -154,20 +154,17 @@ def _result_doc(result: decomp.DecompositionResult) -> dict:
 
 def _cmd_decompose(args) -> dict:
     channel = _load_topology(args.topology)
-    budget = decomp.SearchBudget(exhaustive_cap=args.exhaustive_cap)
-    results = decomp.search(channel, budget)
-    frontier = [r for r in results if r.verdict]
-    failed = [r for r in results if not r.verdict]
+    report = decomp.search(channel, decomp.SearchBudget(exhaustive_cap=args.exhaustive_cap))
     doc = {
         "cross_links": link_list(channel.cross_links()),
-        "evaluated": len(decomp.candidate_masks(channel, budget)),
-        "frontier": [_result_doc(r) for r in frontier],
-        "failed": [_result_doc(r) for r in failed],
+        "evaluated": report.evaluated,
+        "frontier": [_result_doc(r) for r in report.frontier],
+        "failed": [_result_doc(r) for r in report.failed],
     }
     if args.emit_schemes:
         out = Path(args.emit_schemes)
         out.mkdir(parents=True, exist_ok=True)
-        for idx, r in enumerate(frontier):
+        for idx, r in enumerate(report.frontier):
             scheme_path = out / f"scheme_{idx:03d}.json"
             scheme_path.write_text(emit_scheme(r.scheme))
             map_path = out / f"map_{idx:03d}.json"

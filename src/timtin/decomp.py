@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import evaluator, tin
 from .model import (
@@ -68,6 +68,16 @@ class DecompositionResult:
     verdict: bool
     tim_method: str
     power_exponents: tuple[Fraction, ...]
+
+
+class SearchReport(NamedTuple):
+    """What one search found: the Pareto frontier over the verified GDoF
+    tuples and the failed-verdict results (each deduplicated by verified
+    tuple and in map bitmask order), and how many maps it evaluated."""
+
+    frontier: list[DecompositionResult]
+    failed: list[DecompositionResult]
+    evaluated: int
 
 
 def split(channel: ChannelMatrix, dmap: DecompositionMap):
@@ -183,13 +193,11 @@ def candidate_masks(channel: ChannelMatrix, budget: SearchBudget) -> Sequence[in
     return sorted(masks)
 
 
-def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[DecompositionResult]:
-    """Evaluate candidate decompositions and keep the best.
-
-    Returns the Pareto frontier over the evaluator-verified GDoF tuples
-    (deduplicated, ordered by map bitmask), followed by any failed-verdict
-    results so that synthesis defects stay visible.
-    """
+def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> SearchReport:
+    """Evaluate each candidate decomposition once and report the Pareto
+    frontier over the evaluator-verified GDoF tuples, the failed-verdict
+    results (so that synthesis defects stay visible) and the number of
+    maps evaluated."""
     budget = budget or SearchBudget()
     links = channel.cross_links()
     every = frozenset(links)
@@ -200,7 +208,8 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
     failed: dict[tuple, DecompositionResult] = {}
     memo: dict = {}  # TIM graph pairs and subproblems repeat across maps
     verifications: dict = {}  # and so do synthesized schemes
-    for mask in candidate_masks(channel, budget):
+    masks = candidate_masks(channel, budget)
+    for mask in masks:
         result = evaluate_map(channel, _mask_to_map(links, every, mask), memo, verifications)
         (passed if result.verdict else failed).setdefault(_pairs(result.verified), result)
     # A dominator has a strictly larger sum and dominance is transitive, so
@@ -212,7 +221,7 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> list[D
             undominated.append(key)
     kept = set(undominated)
     frontier = [res for key, res in passed.items() if key in kept]
-    return frontier + list(failed.values())
+    return SearchReport(frontier, list(failed.values()), len(masks))
 
 
 def time_share(results: Sequence, weights: Sequence) -> tuple[Fraction, ...]:

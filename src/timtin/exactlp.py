@@ -7,14 +7,24 @@ maximal independent sets.
 
 The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every entry is
 an integer over one common denominator d, the determinant of the current
-basis, which may be negative.  Pivoting on entry p maps every other row,
-the objective included, to (p*x - f*y) // d, where f is that row's entry
-in the pivot column and y the pivot row; by Sylvester's identity the
-division is exact.  The pivot row stays as it is and the new
-denominator is p.  Bland's entering rule and the ratio test read signs
-and cross-multiplied ratios, so the pivot path, and with it the vertex,
-is the one a Fraction tableau takes.  Fractions are built only for the
-returned value and weights.
+basis.  Pivoting on entry p maps every other row, the objective
+included, to (p*x - f*y) // d, where f is that row's entry in the pivot
+column and y the pivot row; by Sylvester's identity the division is
+exact.  The pivot row stays as it is and the new denominator is p.
+Bland's entering rule and the ratio test read signs and cross-multiplied
+ratios, so the pivot path, and with it the vertex, is the one a Fraction
+tableau takes.  Fractions are built only for the returned value and
+weights.
+
+d stays positive: it starts at 1, and the ratio test pivots only on a
+positive entry.  No pivot is needed to drive artificials out of the
+basis after phase 1, because none is left there.  Let u be the sum of
+the inverse-basis rows of the rows where an artificial is basic, the
+phase-1 dual.  At the phase-1 optimum each surplus column has reduced
+cost u_i >= 0, so u >= 0, and each set column has -u.A_j >= 0, so with
+A >= 0 u is 0 on every member of every set.  Phase 1 reached 0, so every
+member lies in some set, and u = 0.  But a basic artificial has reduced
+cost 1 - u_i = 0 on its own unit column, so u would be 1 at its member.
 """
 
 from __future__ import annotations
@@ -41,20 +51,19 @@ def _pivot(rows: list[list[int]], obj: list[int], basis: list[int], d: int, r: i
 
 
 def _run(rows: list[list[int]], obj: list[int], basis: list[int], d: int, allowed) -> int:
-    """Bland's rule to optimality from denominator d; return the final one."""
+    """Bland's rule to optimality from denominator d > 0; return the final one."""
     while True:
-        # entry x stands for x / d, so it is negative when x and d differ in sign
-        entering = next((j for j in allowed if obj[j] * d < 0), None)
+        entering = next((j for j in allowed if obj[j] < 0), None)
         if entering is None:
             return d
         best = None
         for i, row in enumerate(rows):
             a = row[entering]
-            if a * d > 0:
+            if a > 0:
                 if best is None:
                     best = i
                     continue
-                # rhs / a against the best row's ratio; both columns share d's sign
+                # rhs / a against the best row's ratio, both columns positive
                 b = rows[best]
                 lhs, rhs = row[-1] * b[entering], b[-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
@@ -80,11 +89,6 @@ def minimize(sets: Sequence[Collection], members: Sequence):
     d = _run(rows, obj, basis, 1, range(n + m))
     if obj[-1]:
         raise InvariantViolation("a member lies in none of the sets")
-    for i in range(m):  # drive leftover artificials out of the basis
-        if basis[i] >= n + m:
-            col = next((j for j in range(n + m) if rows[i][j] != 0), None)
-            if col is not None:
-                d = _pivot(rows, obj, basis, d, i, col)
 
     # phase 2: unit cost on each set, priced out over the basic x columns;
     # a basic column holds d in its row, so pricing one out subtracts the row

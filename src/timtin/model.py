@@ -15,6 +15,7 @@ Users are indexed 0-based in memory; the JSON file formats are 1-based.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,13 +75,21 @@ class BudgetOutOfRange(DomainError):
     """A search budget is outside the range the search can afford."""
 
 
+# Largest decimal exponent magnitude a number may spell: CPython's default
+# int-string digit limit, which already refuses a 4,301-digit integer.  An
+# unbounded one would build 10^exponent (1e999999999: a ~415-MB integer).
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)$", re.IGNORECASE)  # digits as Fraction reads them
+
+
 def to_fraction(value: object) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 
-    Strings may be decimal ("0.3" -> 3/10, "2e-1" -> 1/5) or "p/q", q != 0.
-    Floats go through their shortest decimal repr, so 0.3 means 3/10
-    rather than the underlying binary double.  A Fraction is immutable
-    and comes back as the same object.
+    Strings may be decimal ("0.3" -> 3/10, "2e-1" -> 1/5) or "p/q", q != 0;
+    a decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude is a
+    ValueError.  Floats go through their shortest decimal repr, so 0.3
+    means 3/10 rather than the underlying binary double.  A Fraction is
+    immutable and comes back as the same object.
     """
     if type(value) is Fraction:
         return value
@@ -93,8 +102,12 @@ def to_fraction(value: object) -> Fraction:
             raise ValueError(f"non-finite value {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and int(exponent[1]) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent in {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -339,9 +352,7 @@ class DecompositionMap:
     tin_links: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        # Rebuilt link by link, so each set iterates (and reprs) in the
-        # order a search's results have always shown.
-        tim, tin = frozenset(iter(self.tim_links)), frozenset(iter(self.tin_links))
+        tim, tin = frozenset(self.tim_links), frozenset(self.tin_links)
         object.__setattr__(self, "tim_links", tim)
         object.__setattr__(self, "tin_links", tin)
         for link in tim | tin:
@@ -364,7 +375,7 @@ class DecompositionMap:
 def loads(text: str):
     """JSON text with each number that has a fraction or exponent read as
     the exact Fraction it spells (0.1 is 1/10), never a binary double."""
-    return json.loads(text, parse_float=Fraction)
+    return json.loads(text, parse_float=to_fraction)
 
 
 def document_list(value, what: str) -> list:

@@ -343,6 +343,42 @@ def test_exhaustive_cap_beyond_ceiling_is_domain_error(files, capsys, monkeypatc
     assert doc["error"].startswith("BudgetOutOfRange: ")
 
 
+def test_decompose_builds_candidate_masks_once(files, capsys, monkeypatch):
+    calls = []
+    masks = decomp.candidate_masks
+
+    def counted_masks(*args):
+        calls.append(args)
+        return masks(*args)
+
+    monkeypatch.setattr(decomp, "candidate_masks", counted_masks)
+    code, out = run(capsys, "decompose", "-t", str(files / "small.json"))
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["evaluated"] == len(masks(*calls[0]))
+
+
+@pytest.mark.parametrize("number", ["1e4301", "1E+4301", "-2.5e-4301"])
+def test_decimal_exponent_beyond_bound_is_refused(capsys, tmp_path, number):
+    # a document exits 1, as any malformed document does; an option value
+    # is a usage error, as a zero denominator there is
+    topo = tmp_path / "topo.json"
+    topo.write_text('{"K": 2, "alpha": [[1, %s], [0, 1]]}' % number)
+    code, out = run(capsys, "tin", "-t", str(topo))
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert "exponent" in doc["error"]
+    topo.write_text('{"K": 2, "alpha": [["1", "%s"], ["0", "1"]]}' % number)
+    code, out = run(capsys, "tin", "-t", str(topo))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("MalformedDocument: ")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tin", "-t", str(topo), f"--target={number},1"])
+    assert exc.value.code == 2
+    assert number in capsys.readouterr().err
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out = run(capsys, "eval", "-t", "/nonexistent.json", "-s", "/nonexistent.json")
     assert code == 1

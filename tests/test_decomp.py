@@ -115,20 +115,20 @@ def test_single_user_trivial():
 
 
 def test_search_frontier_contains_improved_value(network5):
-    results = decomp.search(network5)
-    # every one of the 2^11 maps verified at or above its product (a failed
-    # verdict would be listed after the frontier)
-    assert all(r.verdict for r in results)
-    assert max(min(r.verified) for r in results) >= Fraction(1, 3)
+    report = decomp.search(network5)
+    # every one of the 2^11 maps verified at or above its product
+    assert report.failed == []
+    assert all(r.verdict for r in report.frontier)
+    assert max(min(r.verified) for r in report.frontier) >= Fraction(1, 3)
     # the naive strong-links-to-TIM split is strictly dominated
     baseline = decomp.evaluate_map(network5, baseline_map())
     assert min(baseline.verified) == Fraction(3, 10) < Fraction(1, 3)
 
 
 def test_exhaustive_frontier_dominates_threshold_family(network5):
-    exhaustive = [r.verified for r in decomp.search(network5) if r.verdict]
-    tight = decomp.SearchBudget(exhaustive_cap=4)
-    for r in decomp.search(network5, tight):
+    exhaustive = [r.verified for r in decomp.search(network5).frontier]
+    tight = decomp.search(network5, decomp.SearchBudget(exhaustive_cap=4))
+    for r in tight.frontier + tight.failed:
         assert any(
             all(e >= v for e, v in zip(point, r.verified)) for point in exhaustive
         )
@@ -146,15 +146,16 @@ def test_search_verdicts_hold_on_random_channels():
     for _ in range(6):
         K = rng.randint(2, 3)
         cm = random_channel(rng, K, cross_prob=0.6)
-        for r in decomp.search(cm):
+        report = decomp.search(cm)
+        for r in report.frontier + report.failed:
             assert r.verdict, (cm.alpha, r.map, r.products, r.verified)
 
 
 def test_search_no_cross_links():
     cm = validate_channel([["1", "0"], ["0", "0.75"]])
-    results = decomp.search(cm)
-    assert len(results) == 1
-    assert results[0].products == (1, Fraction(3, 4))
+    report = decomp.search(cm)
+    assert (len(report.frontier), report.failed, report.evaluated) == (1, [], 1)
+    assert report.frontier[0].products == (1, Fraction(3, 4))
 
 
 def test_threshold_family_when_over_budget(network5):
@@ -162,8 +163,25 @@ def test_threshold_family_when_over_budget(network5):
     masks = decomp.candidate_masks(network5, budget)
     assert 0 in masks  # the all-TIN map is always tried
     assert len(masks) <= 2 + 2 * 11 + 11 * 2
-    results = decomp.search(network5, budget)
-    assert all(r.verdict for r in results)
+    report = decomp.search(network5, budget)
+    assert all(r.verdict for r in report.frontier + report.failed)
+
+
+@pytest.mark.parametrize("cap", [decomp.SearchBudget().exhaustive_cap, 4])
+def test_search_reports_the_maps_it_evaluated(network5, monkeypatch, cap):
+    """evaluated counts the evaluate_map calls of the one pass, which are
+    the candidate masks: all 2^11 maps, or the threshold family at cap 4."""
+    budget = decomp.SearchBudget(exhaustive_cap=cap)
+    masks = decomp.candidate_masks(network5, budget)
+    assert (len(masks) == 1 << 11) == (cap >= 11)  # L = 11 cross links
+    evaluate, calls = decomp.evaluate_map, []
+
+    def counted_evaluate(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(decomp, "evaluate_map", counted_evaluate)
+    assert decomp.search(network5, budget).evaluated == len(calls) == len(masks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,7 +199,8 @@ def test_synthesized_schemes_are_already_normalized(seed):
             assert all(type(c) is int for c in vec)  # TIM directions are integral
             assert next(c for c in vec if c != 0) == 1
     cm = random_channel(rng, K, cross_prob=min(0.5, 6 / (K * (K - 1))))
-    for r in decomp.search(cm, decomp.SearchBudget(exhaustive_cap=7)):
+    report = decomp.search(cm, decomp.SearchBudget(exhaustive_cap=7))
+    for r in report.frontier + report.failed:
         assert validate_scheme(r.scheme, cm) == r.scheme
         # the model boundary is unchanged: scheme coordinates are Fractions
         assert all(type(c) is Fraction for s in r.scheme.streams for c in s.vector)
@@ -193,8 +212,9 @@ def _mask_of(result, links) -> int:
 
 @pytest.mark.parametrize("cap", [decomp.SearchBudget().exhaustive_cap, 3])
 def test_search_results_in_mask_order(cap):
-    """Frontier, then failed results, each ascending in map bitmask, and
-    each verified tuple represented by the lowest mask that reaches it."""
+    """The frontier and the failed results each ascend in map bitmask,
+    each verified tuple is represented by the lowest mask that reaches it,
+    and each list holds only results of its own verdict."""
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
     budget = decomp.SearchBudget(exhaustive_cap=cap)
@@ -202,12 +222,12 @@ def test_search_results_in_mask_order(cap):
     for mask in decomp.candidate_masks(cm, budget):
         verified = decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask)).verified
         first_mask.setdefault(verified, mask)
-    results = decomp.search(cm, budget)
-    for group in ([r for r in results if r.verdict], [r for r in results if not r.verdict]):
+    report = decomp.search(cm, budget)
+    for group, verdict in ((report.frontier, True), (report.failed, False)):
         masks = [_mask_of(r, links) for r in group]
         assert masks == sorted(masks)
         assert masks == [first_mask[r.verified] for r in group]
-    assert [r.verdict for r in results] == sorted((r.verdict for r in results), reverse=True)
+        assert all(r.verdict is verdict for r in group)
 
 
 def test_search_verifies_each_distinct_scheme_once(monkeypatch):
@@ -277,7 +297,7 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
         res for tup, res in passed.items()
         if not any(o != tup and all(a >= b for a, b in zip(o, tup)) for o in passed)
     ]
-    assert [r for r in decomp.search(cm, budget) if r.verdict] == expected
+    assert decomp.search(cm, budget).frontier == expected
 
 
 def test_time_share_identity_and_mixing(baseline_result, improved_result):

@@ -104,10 +104,49 @@ def test_every_lp_pivot_divides_exactly(family):
 
 
 @st.composite
+def duplicated_families(draw):
+    """An LP input with some of its sets repeated, shuffled among the rest."""
+    sets, members = draw(LP_INPUTS)
+    copies = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets)))
+    return draw(st.permutations(sets + copies)), members
+
+
+@given(st.one_of(LP_INPUTS, duplicated_families()))
+@settings(max_examples=300, deadline=None)
+def test_no_artificial_stays_basic_and_the_denominator_stays_positive(family):
+    """The module docstring's argument, checked: phase 1 ends with no
+    artificial label (n + m and up) in the basis, so no pivot drives one
+    out, and every denominator is positive."""
+    sets, members = family
+    n, m = len(sets), len(members)
+    expected = exactlp.minimize(sets, members)
+    run, pivot = exactlp._run, exactlp._pivot
+    bases, denominators = [], [1]
+
+    def recording_run(rows, obj, basis, d, allowed):
+        d = run(rows, obj, basis, d, allowed)
+        bases.append(list(basis))
+        return d
+
+    def recording_pivot(rows, obj, basis, d, r, c):
+        denominators.append(pivot(rows, obj, basis, d, r, c))
+        return denominators[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_run", recording_run)
+        mp.setattr(exactlp, "_pivot", recording_pivot)
+        assert exactlp.minimize(sets, members) == expected
+    assert len(bases) == 2  # phase 1, then phase 2
+    assert all(label < n + m for label in bases[0])
+    assert all(d > 0 for d in denominators)
+
+
+@st.composite
 def pivot_sequences(draw):
     """An integer tableau over d = 1 on an identity basis, and pivot
-    positions taken on any nonzero entry, of either sign, as the artificial
-    drive-out may take them."""
+    positions taken on any nonzero entry, of either sign: _pivot divides
+    exactly whatever the sign, though minimize only pivots on positive
+    entries."""
     m, width = draw(st.integers(1, 5)), draw(st.integers(2, 7))
     rows = draw(st.lists(
         st.lists(st.integers(-4, 4), min_size=width, max_size=width), min_size=m, max_size=m

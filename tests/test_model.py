@@ -21,6 +21,7 @@ from timtin.model import (
     emit_scheme,
     emit_topology,
     format_rational,
+    loads,
     parse_decomposition_map,
     parse_scheme,
     parse_topology,
@@ -38,6 +39,22 @@ def test_to_fraction_exact_decimal():
     assert to_fraction("2e-1") == Fraction(1, 5)
     assert to_fraction("1/3") == Fraction(1, 3)
     assert to_fraction(7) == 7
+
+
+@pytest.mark.parametrize("text, exponent", [("1e4300", 4300), ("1e0004300", 4300), ("-1E-4300", -4300)])
+def test_decimal_exponent_at_the_bound_parses(text, exponent):
+    x = to_fraction(text)
+    assert abs(x) == Fraction(10) ** exponent
+    assert loads(f"[{text}]") == [x]
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E+4301", "-2.5e-4301", " 3e00004301 "])
+def test_decimal_exponent_beyond_the_bound_is_refused(text):
+    # refused before 10^exponent is built, in option strings and in JSON numbers alike
+    with pytest.raises(ValueError, match="exponent"):
+        to_fraction(text)
+    with pytest.raises(ValueError, match="exponent"):
+        loads(f'{{"alpha": [[{text.strip()}]]}}')
 
 
 def test_to_fraction_returns_a_fraction_unchanged():
