@@ -59,7 +59,7 @@ def main():
     best = max(frontier, key=lambda r: min(r.verified))
     print(f"best symmetric value: {format_rational(min(best.verified))} "
           f"with TIM links {sorted((k + 1, i + 1) for k, i in best.map.tim_links)}")
-    mixed = decomp.time_share([base, moved], [Fraction(1, 2), Fraction(1, 2)])
+    mixed = decomp.time_share([base.verified, moved.verified], [Fraction(1, 2), Fraction(1, 2)])
     print(f"half-and-half time share of the two shown maps: "
           f"({', '.join(format_rational(x) for x in mixed)})")
 

@@ -13,11 +13,9 @@ from .decomp import (
 )
 from .evaluator import (
     finite_p_rate,
-    finite_p_stream_rates,
     gdof_report,
     logdet_exponent,
     slope_estimate,
-    successive_gdof,
     user_gdof,
 )
 from .model import (

@@ -38,7 +38,7 @@ from .tim import TimTopology, tim_solve
 
 
 def _fractions(values) -> list[str]:
-    return [format_rational(Fraction(v)) for v in values]
+    return [format_rational(v) for v in values]
 
 
 def _load_topology(path: str):

@@ -225,7 +225,7 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
 
 
 def time_share(results: Sequence, weights: Sequence) -> tuple[Fraction, ...]:
-    """Convex combination of verified GDoF tuples (or plain tuples)."""
+    """Convex combination of GDoF tuples (such as each result's ``verified``)."""
     w = [to_fraction(x) for x in weights]
     if len(w) != len(results):
         raise WeightMismatch(f"{len(w)} weights for {len(results)} results")
@@ -233,10 +233,7 @@ def time_share(results: Sequence, weights: Sequence) -> tuple[Fraction, ...]:
         raise WeightMismatch("weights must be nonnegative")
     if sum(w) != 1:
         raise WeightMismatch(f"weights sum to {sum(w)}, expected 1")
-    tuples = [
-        r.verified if isinstance(r, DecompositionResult) else tuple(to_fraction(x) for x in r)
-        for r in results
-    ]
+    tuples = [tuple(map(to_fraction, r)) for r in results]
     K = len(tuples[0]) if tuples else 0
     if any(len(t) != K for t in tuples):
         raise DimensionMismatch("GDoF tuples have differing lengths")

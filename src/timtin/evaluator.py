@@ -134,11 +134,6 @@ def _user_from(k: int, combined: int, interference: int, n: int, E: int) -> User
     )
 
 
-def _per_stream(exps: Sequence[int], n: int, E: int) -> tuple[Fraction, ...]:
-    """Per-stream GDoF from the exponents (over E) after 0..b decoded streams."""
-    return tuple(Fraction(exps[l] - exps[l + 1], n * E) for l in range(len(exps) - 1))
-
-
 def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     """GDoF of user k: exponents of the two determinants and their scaled
     difference."""
@@ -147,30 +142,19 @@ def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     return _user_from(k, combined, interference, scheme.n, E)
 
 
-def successive_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> tuple[Fraction, ...]:
-    """Per-stream GDoF of user k under decode-and-subtract, in decoding order.
-
-    Stream l's value is the drop in the combined exponent when stream l is
-    moved from the undecoded to the decoded side; the values telescope so
-    their sum equals user_gdof(k) exactly.
-    """
-    b = scheme.users.count(k)
-    exps, E = _exponents_after(scheme, channel, k, range(b + 1))
-    return _per_stream(exps, scheme.n, E)
-
-
 def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
     """Full per-user and per-stream GDoF report with invariant checks.
 
     Each user's exponents after 0..b decoded streams are taken once; the
-    user GDoF comes from the two ends and the per-stream split from all."""
+    user GDoF comes from the two ends.  Stream l's value is the exponent's
+    drop when it is decoded, so each user's values telescope to its GDoF."""
     users = []
     per_stream = []
     for k in range(channel.K):
         b = scheme.users.count(k)
         exps, E = _exponents_after(scheme, channel, k, range(b + 1))
         u = _user_from(k, exps[0], exps[b], scheme.n, E)
-        sc = _per_stream(exps, scheme.n, E)
+        sc = tuple(Fraction(exps[l] - exps[l + 1], scheme.n * E) for l in range(b))
         if sum(sc, Fraction(0)) != u.gdof:
             raise InvariantViolation(f"user {k}: per-stream GDoF does not sum to the user GDoF")
         if not 0 <= u.gdof <= channel.alpha[k][k]:
@@ -269,35 +253,20 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
     return directions, users, kappas
 
 
-def _logdets_after(directions, users, kappas, P: float, k: int, decodeds) -> list[float]:
-    """Receiver k's log-det in nats after each number of decoded own streams."""
-    return [
-        _logdet(directions, kappas[k], P, np.array(_undecoded(users, k, d), dtype=bool))
-        for d in decodeds
-    ]
-
-
 def finite_p_rate(
     scheme: Scheme, channel: ChannelMatrix, P: float, seed: int = 0
 ) -> list[float]:
-    """Per-user achievable rate in bits per channel use at finite power P."""
+    """Per-user achievable rate in bits per channel use at finite power P:
+    receiver k's log-det with none and with all of its streams decoded."""
     directions, users, kappas = _oracle_inputs(scheme, channel, P)
     rates = []
     for k in range(channel.K):
-        combined, noise_int = _logdets_after(directions, users, kappas, P, k, (0, users.count(k)))
+        combined, noise_int = [
+            _logdet(directions, kappas[k], P, np.array(_undecoded(users, k, d), dtype=bool))
+            for d in (0, users.count(k))
+        ]
         rates.append((combined - noise_int) / (scheme.n * math.log(2)))
     return rates
-
-
-def finite_p_stream_rates(
-    scheme: Scheme, channel: ChannelMatrix, k: int, P: float, seed: int = 0
-) -> list[float]:
-    """Conditional per-stream rates of user k (decode-and-subtract order);
-    they sum to finite_p_rate(k) up to float roundoff."""
-    directions, users, kappas = _oracle_inputs(scheme, channel, P)
-    b = users.count(k)
-    logdets = _logdets_after(directions, users, kappas, P, k, range(b + 1))
-    return [(logdets[l] - logdets[l + 1]) / (scheme.n * math.log(2)) for l in range(b)]
 
 
 def slopes_from_rates(powers: Sequence[float], rates: Sequence[Sequence[float]]) -> list[float]:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, log10
 from typing import Iterable, Sequence
 
 
@@ -113,9 +113,30 @@ def to_fraction(value: object) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+# Most digits one integer of the output may spell: CPython's default
+# int-string limit, fixed here so that output does not depend on the
+# interpreter's setting.
+MAX_OUTPUT_DIGITS = 4300
+_OUTPUT_BOUND = 10**MAX_OUTPUT_DIGITS
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of ``n``, or ValueError if there are more than
+    MAX_OUTPUT_DIGITS of them."""
+    if abs(n) < _OUTPUT_BOUND:
+        return str(n)
+    size = int(log10(abs(n)))  # floor(log10 |n|), give or take one
+    size += abs(n) >= 10 ** (size + 1)
+    size -= abs(n) < 10**size
+    raise ValueError(
+        f"a {size + 1}-digit number exceeds the {MAX_OUTPUT_DIGITS}-digit output limit"
+    )
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical text form: finite decimal when the denominator is 2^a 5^b,
-    otherwise "p/q"."""
+    otherwise "p/q".  A numerator, a denominator or a decimal's digits
+    beyond MAX_OUTPUT_DIGITS are a ValueError."""
     num, den = x.numerator, x.denominator
     d = den
     twos = fives = 0
@@ -126,12 +147,12 @@ def format_rational(x: Fraction) -> str:
         d //= 5
         fives += 1
     if d != 1:
-        return f"{num}/{den}"
+        return f"{_digits(num)}/{_digits(den)}"
     digits = max(twos, fives)
     if digits == 0:
-        return str(num)
+        return _digits(num)
     scaled = abs(num) * 10**digits // den
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _digits(scaled).rjust(digits + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
@@ -273,9 +294,6 @@ class Scheme:
         ))
         scheme.__dict__["rows"] = tuple(row for _, row, _ in triples)  # the cached_property's slot
         return scheme
-
-    def streams_of(self, user: int) -> tuple[Stream, ...]:
-        return tuple(s for s in self.streams if s.user == user)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -474,16 +492,6 @@ def emit_scheme(scheme: Scheme) -> str:
                 for s in scheme.streams
             ],
         }
-    )
-
-
-def parse_decomposition_map(text: str) -> DecompositionMap:
-    doc = loads(text)
-    if not isinstance(doc, dict) or "tim_links" not in doc or "tin_links" not in doc:
-        raise MapMismatch('map file must be {"tim_links": [[k,i]...], "tin_links": [[k,i]...]}')
-    return DecompositionMap(
-        tim_links=parse_links(doc["tim_links"], "tim_links"),
-        tin_links=parse_links(doc["tin_links"], "tin_links"),
     )
 
 

@@ -17,9 +17,9 @@ from oracles import (
 )
 from timtin import decomp, tin
 from timtin.evaluator import (
+    gdof_report,
     logdet_exponent,
     slope_estimate,
-    successive_gdof,
     user_gdof,
 )
 from timtin.fixtures import baseline_map, five_user_network, improved_map
@@ -138,9 +138,10 @@ def test_criterion_6_chain_rule_exact():
     ok = True
     for _ in range(200):
         K, channel, scheme = _random_channel_and_scheme(rng)
+        per_stream = gdof_report(scheme, channel).per_stream
         for k in range(K):
             total = user_gdof(scheme, channel, k).gdof
-            ok &= sum(successive_gdof(scheme, channel, k), Fraction(0)) == total
+            ok &= sum(per_stream[k], Fraction(0)) == total
     _report(6, "per-stream values sum to the user GDoF on 200 schemes", ok)
 
 

@@ -379,6 +379,18 @@ def test_decimal_exponent_beyond_bound_is_refused(capsys, tmp_path, number):
     assert number in capsys.readouterr().err
 
 
+def test_number_beyond_the_output_digit_limit_is_a_domain_error(files, capsys):
+    # 1e4300 is read (its exponent is at the bound) but has 4,301 digits to print
+    code, out = run(capsys, "tin", "-t", str(files / "small.json"), "--target", "1e4300,1,1")
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"] == "ValueError: a 4301-digit number exceeds the 4300-digit output limit"
+    code, out = run(capsys, "tin", "-t", str(files / "small.json"), "--target", "1e4299,1,1")
+    assert code == 0
+    assert json.loads(out)["target"][0] == "1" + "0" * 4299
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out = run(capsys, "eval", "-t", "/nonexistent.json", "-s", "/nonexistent.json")
     assert code == 1

@@ -301,19 +301,21 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
 
 
 def test_time_share_identity_and_mixing(baseline_result, improved_result):
-    assert decomp.time_share([baseline_result], [1]) == (Fraction(3, 10),) * 5
+    assert decomp.time_share([baseline_result.verified], [1]) == (Fraction(3, 10),) * 5
     assert decomp.time_share([(1, 0), (0, 1)], ["1/2", "1/2"]) == (
         Fraction(1, 2),
         Fraction(1, 2),
     )
-    mixed = decomp.time_share([baseline_result, improved_result], [Fraction(1, 2), Fraction(1, 2)])
+    mixed = decomp.time_share(
+        [baseline_result.verified, improved_result.verified], [Fraction(1, 2), Fraction(1, 2)]
+    )
     assert mixed == (Fraction(19, 60),) * 5
 
 
 def test_time_share_rejects_bad_weights(baseline_result):
     with pytest.raises(WeightMismatch):
-        decomp.time_share([baseline_result], [Fraction(1, 2), Fraction(1, 2)])
+        decomp.time_share([baseline_result.verified], [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(WeightMismatch):
-        decomp.time_share([baseline_result], [Fraction(1, 2)])
+        decomp.time_share([baseline_result.verified], [Fraction(1, 2)])
     with pytest.raises(WeightMismatch):
-        decomp.time_share([baseline_result, baseline_result], [2, -1])
+        decomp.time_share([baseline_result.verified] * 2, [2, -1])

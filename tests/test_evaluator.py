@@ -22,10 +22,24 @@ from timtin import evaluator
 from timtin.evaluator import (
     gdof_report,
     logdet_exponent,
-    successive_gdof,
     user_gdof,
 )
 from timtin.model import DimensionMismatch, Scheme, Stream, validate_channel
+
+
+def chain_rule_split(scheme, cm, k):
+    """User k's per-stream GDoF by the chain rule, read off user_gdof's
+    combined exponent once each prefix of k's streams is left out."""
+    own = [i for i, s in enumerate(scheme.streams) if s.user == k]
+    combined = [
+        user_gdof(
+            Scheme(scheme.n, tuple(s for i, s in enumerate(scheme.streams) if i not in own[:l])),
+            cm,
+            k,
+        ).combined_exp
+        for l in range(len(own) + 1)
+    ]
+    return tuple((combined[l] - combined[l + 1]) / scheme.n for l in range(len(own)))
 
 
 def wv(vec, exp):
@@ -149,7 +163,7 @@ def test_reference_network_all_users(network5, baseline_result):
 
 
 def test_successive_sums_to_user_gdof(network5, baseline_result):
-    sc = successive_gdof(baseline_result.scheme, network5, 2)
+    sc = gdof_report(baseline_result.scheme, network5).per_stream[2]
     assert sum(sc) == Fraction(3, 10)
     assert len(sc) == 1  # single-stream user: one entry equal to d_k
 
@@ -170,9 +184,11 @@ def test_successive_two_stream_example():
             Stream(2, (1, 1), 0),
         ),
     )
-    sc = successive_gdof(scheme, cm, 0)
+    report = gdof_report(scheme, cm)
+    sc = report.per_stream[0]
     assert sc == (Fraction(1, 4), Fraction(3, 10))
-    assert sum(sc) == user_gdof(scheme, cm, 0).gdof == Fraction(11, 20)
+    assert sc == chain_rule_split(scheme, cm, 0)
+    assert sum(sc) == report.gdof[0] == user_gdof(scheme, cm, 0).gdof == Fraction(11, 20)
 
 
 def test_below_noise_streams_are_dropped():
@@ -192,8 +208,10 @@ def test_chain_rule_consistency(seed):
     K = rng.randint(1, 4)
     cm = random_channel(rng, K)
     scheme = random_scheme(rng, K)
+    report = gdof_report(scheme, cm)
     for k in range(K):
-        assert sum(successive_gdof(scheme, cm, k), Fraction(0)) == user_gdof(scheme, cm, k).gdof
+        assert report.per_stream[k] == chain_rule_split(scheme, cm, k)
+        assert sum(report.per_stream[k], Fraction(0)) == user_gdof(scheme, cm, k).gdof
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,7 +228,7 @@ def test_order_of_pairs_and_of_other_users_streams_is_irrelevant(seed):
     scheme = random_scheme(rng, K)
     slots = [s.user for s in scheme.streams]
     rng.shuffle(slots)
-    own = {u: iter(scheme.streams_of(u)) for u in range(K)}
+    own = {u: iter([s for s in scheme.streams if s.user == u]) for u in range(K)}
     interleaved = Scheme(scheme.n, tuple(next(own[u]) for u in slots))
     assert gdof_report(interleaved, cm) == gdof_report(scheme, cm)
 
@@ -235,9 +253,9 @@ def test_gdof_report_takes_each_determinant_once(monkeypatch):
         monkeypatch.setattr(evaluator, "logdet_exponent", counted_logdet)
         report = gdof_report(scheme, cm)
         monkeypatch.undo()
-        assert len(calls) == sum(len(scheme.streams_of(k)) + 1 for k in range(K))
+        assert len(calls) == sum(scheme.users.count(k) + 1 for k in range(K))
         assert report.users == tuple(user_gdof(scheme, cm, k) for k in range(K))
-        assert report.per_stream == tuple(successive_gdof(scheme, cm, k) for k in range(K))
+        assert report.per_stream == tuple(chain_rule_split(scheme, cm, k) for k in range(K))
 
 
 @settings(max_examples=60, deadline=None)

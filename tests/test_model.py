@@ -1,5 +1,8 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,8 +24,9 @@ from timtin.model import (
     emit_scheme,
     emit_topology,
     format_rational,
+    link_list,
     loads,
-    parse_decomposition_map,
+    parse_links,
     parse_scheme,
     parse_topology,
     to_fraction,
@@ -30,6 +34,7 @@ from timtin.model import (
     validate_scheme,
 )
 
+SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
 
@@ -72,6 +77,27 @@ def test_format_rational():
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(Fraction(0)) == "0"
     assert format_rational(Fraction(-1, 6)) == "-1/6"
+    # up to the output digit limit
+    assert format_rational(10**4299) == "1" + "0" * 4299  # 4,300 digits
+    text = format_rational(Fraction(1, 10**4300))
+    assert text == "0." + "0" * 4299 + "1" and len(text) == 4302
+    assert format_rational(Fraction(-(10**4300 - 2), 3)) == "-" + "9" * 4299 + "8/3"
+
+
+@pytest.mark.parametrize(
+    "x, digits",
+    [
+        (10**4300, 4301),
+        (-(10**4300), 4301),
+        (Fraction(1, 3 * 10**4300), 4301),  # the denominator of a p/q
+        (Fraction(10**4300 + 1, 10**4300), 4301),  # a decimal's digits
+        (Fraction(3, 2**14000), 9787),  # a short denominator, a long decimal
+    ],
+    ids=["integer", "negative", "denominator", "decimal", "long-decimal"],
+)
+def test_format_rational_refuses_numbers_beyond_the_output_digit_limit(x, digits):
+    with pytest.raises(ValueError, match=f"^a {digits}-digit number exceeds the 4300-digit output limit$"):
+        format_rational(x)
 
 
 @given(rationals)
@@ -221,23 +247,19 @@ def test_scheme_from_rows_equals_the_stream_built_scheme():
     assert built.scaled_powers == (2, (-1, 0, -1))
 
 
-def test_map_round_trip():
+def test_map_output_matches_its_schema():
     dmap = DecompositionMap(frozenset({(0, 3), (1, 0)}), frozenset({(0, 1)}))
-    assert parse_decomposition_map(emit_decomposition_map(dmap)) == dmap
+    doc = json.loads(emit_decomposition_map(dmap))
+    jsonschema.validate(doc, json.loads((SCHEMA_DIR / "decomposition_map.schema.json").read_text()))
+    assert doc == {"tim_links": link_list(dmap.tim_links), "tin_links": link_list(dmap.tin_links)}
+    assert doc == {"tim_links": [[1, 4], [2, 1]], "tin_links": [[1, 2]]}
 
 
 def test_indices_accept_integral_numbers_only():
     assert parse_topology('{"K": 1.0, "alpha": [["1"]]}').K == 1
     scheme = parse_scheme('{"n": 1.0, "streams": [{"user": 2.0, "vector": [1], "power_exp": 0}]}')
     assert scheme.n == 1 and scheme.streams[0].user == 1
-    dmap = parse_decomposition_map('{"tim_links": [[1.0, 2]], "tin_links": []}')
-    assert dmap.tim_links == frozenset({(0, 1)})
-    for text in (
-        '{"tim_links": [[1.5, 2]], "tin_links": []}',
-        '{"tim_links": [[true, 2]], "tin_links": []}',
-        '{"tim_links": [["1", 2]], "tin_links": []}',
-        '{"tim_links": [[1, 2, 3]], "tin_links": []}',
-        '{"tim_links": 5, "tin_links": []}',
-    ):
+    assert parse_links(loads("[[1.0, 2]]"), "links") == frozenset({(0, 1)})
+    for text in ("[[1.5, 2]]", "[[true, 2]]", '[["1", 2]]', "[[1, 2, 3]]", "5"):
         with pytest.raises(MalformedDocument):
-            parse_decomposition_map(text)
+            parse_links(loads(text), "links")

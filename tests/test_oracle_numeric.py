@@ -11,7 +11,6 @@ from oracles import random_channel, random_scheme, reference_logdet_mp
 from timtin import evaluator
 from timtin.evaluator import (
     finite_p_rate,
-    finite_p_stream_rates,
     slope_estimate,
     user_gdof,
 )
@@ -61,14 +60,6 @@ def test_slope_tracks_exact_gdof_on_random_schemes():
         for k in range(K):
             exact = float(user_gdof(scheme, cm, k).gdof)
             assert abs(slopes[k] - exact) <= 0.05
-
-
-def test_finite_p_chain_rule(network5, baseline_result):
-    scheme = baseline_result.scheme
-    for k in range(5):
-        total = finite_p_rate(scheme, network5, 1e8)[k]
-        parts = finite_p_stream_rates(scheme, network5, k, 1e8)
-        assert abs(sum(parts) - total) <= 1e-6
 
 
 def test_power_validation():

@@ -34,9 +34,9 @@ def test_five_user_study_writes_the_search_frontier(tmp_path):
     assert len(list(tmp_path.glob("scheme_*.json"))) == len(expected)
 
 
-def load_bench_pairs():
-    path = ROOT / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+def load_script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -56,7 +56,7 @@ def result_line(run_ref_s, throughput, failed=0, attempted=10, correct=True):
 
 
 def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
-    bench_pairs = load_bench_pairs()
+    bench_pairs = load_script("bench_pairs")
     pairs = [
         {"parent": result_line(0.50, 100), "change": result_line(0.40, 125)},
         {"parent": result_line(0.52, 96), "change": result_line(0.41, 122, failed=1)},
@@ -78,9 +78,51 @@ def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
 
 
 def test_bench_pairs_summary_of_one_pair_and_of_ties():
-    bench_pairs = load_bench_pairs()
+    bench_pairs = load_script("bench_pairs")
     pairs = [{"parent": result_line(0.5, 100), "change": result_line(0.5, 100)}]
     summary = bench_pairs.summarize(pairs, {"run_ref_s": "lower", "throughput_ref_per_s": "higher"})
     for name in ("run_ref_s", "throughput_ref_per_s"):
         assert summary["metrics"][name]["change_wins"] == 0  # a tie is no win
     assert summary["metrics"]["run_ref_s"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+SAMPLE_MODULE = '''"""Module docstring,
+two lines."""
+
+import os  # a comment after code counts as code
+
+
+# a comment-only line
+class Box:
+    """One-line class docstring."""
+
+    size = """a string that is no docstring
+    stays code"""
+
+    def get(self):
+        """Method
+        docstring."""
+        return "#" + os.sep
+'''
+
+
+def test_src_lines_counts_code_without_blanks_comments_or_docstrings(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(SAMPLE_MODULE)
+    (package / "sub" / "leaf.py").write_text("x = 1\n\n")
+    mod = {"total": 17, "code": 6}  # import, class, size (2 lines), def, return
+    expected = {
+        "total": 19,
+        "code": 7,
+        "modules": {"__init__.py": {"total": 0, "code": 0}, "mod.py": mod,
+                    "sub/leaf.py": {"total": 2, "code": 1}},
+    }
+    assert load_script("src_lines").package_counts(package) == expected
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "src_lines.py"), str(package)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expected
