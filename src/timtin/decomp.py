@@ -15,7 +15,7 @@ the same GDoF tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 

@@ -14,7 +14,9 @@ the resulting GDoF values become Fractions.
 A finite-power numerical oracle evaluates the actual achievable rates in
 floating point for cross-checking slopes against exact GDoF values.  Its
 ``seed`` argument does not change the rates yet: the oracle's channel is
-the strength matrix itself, with no random per-link magnitudes.
+the strength matrix itself, with no random per-link magnitudes.  Only the
+oracle functions import numpy and mpmath, on their first call, so the
+exact path (and ``import timtin``) runs on the standard library alone.
 
 Both paths decide which streams receiver k still hears after it has
 decoded some of its own streams with the same mask, ``_undecoded``.
@@ -27,9 +29,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import itemgetter
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import (
     ChannelMatrix,
@@ -41,6 +41,9 @@ from .model import (
     UserGdof,
     integer_row,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Beyond this power the spread of covariance eigenvalues exhausts double
 # precision, so the oracle refuses rather than returning noise.
@@ -176,6 +179,8 @@ DOUBLE_SPREAD_LIMIT = 1e13
 
 
 def _logdet_double(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.ndarray) -> float:
+    import numpy as np
+
     n = unit_dirs.shape[1]
     weights = np.where(keep, P**kappas, 0.0)
     matrix = np.eye(n) + np.einsum("s,si,sj->ij", weights, unit_dirs, unit_dirs)
@@ -214,7 +219,7 @@ def _logdet_mp(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.nda
 
 def _logdet(unit_dirs: np.ndarray, kappas: np.ndarray, P: float, keep: np.ndarray) -> float:
     """log det(I + sum_kept P^kappa_s u_s u_s^T) in nats."""
-    if not np.any(keep):
+    if not keep.any():
         return 0.0
     if max(float(kappas[keep].max()), 0.0) * math.log(P) <= math.log(DOUBLE_SPREAD_LIMIT):
         return _logdet_double(unit_dirs, kappas, P, keep)
@@ -232,6 +237,8 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
     Nothing here is random, so the oracle's seed does not change the rates
     until per-link magnitudes are drawn from it.
     """
+    import numpy as np
+
     if not P > 1:
         raise ValueError("P must exceed 1")
     if P > MAX_ORACLE_POWER:
@@ -258,6 +265,8 @@ def finite_p_rate(
 ) -> list[float]:
     """Per-user achievable rate in bits per channel use at finite power P:
     receiver k's log-det with none and with all of its streams decoded."""
+    import numpy as np
+
     directions, users, kappas = _oracle_inputs(scheme, channel, P)
     rates = []
     for k in range(channel.K):

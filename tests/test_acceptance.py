@@ -22,7 +22,7 @@ from timtin.evaluator import (
     slope_estimate,
     user_gdof,
 )
-from timtin.fixtures import baseline_map, five_user_network, improved_map
+from timtin.fixtures import baseline_map, improved_map
 from timtin.model import Scheme, Stream
 from timtin.tim import TimTopology, tim_solve
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import random_channel
 from timtin import decomp, evaluator
-from timtin.fixtures import MOVABLE_WEAK_LINK, baseline_map, five_user_network, improved_map
+from timtin.fixtures import baseline_map
 from timtin.model import (
     DecompositionMap,
     MapMismatch,

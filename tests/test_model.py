@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from timtin.fixtures import five_user_network
 from timtin.model import (
-    ChannelMatrix,
     DecompositionMap,
     DimensionMismatch,
     EmptyVector,
