@@ -17,7 +17,7 @@ from pathlib import Path
 
 from timtin import decomp
 from timtin.evaluator import slope_estimate
-from timtin.fixtures import baseline_map, five_user_network, improved_map
+from timtin.fixtures import BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS, five_user_network
 from timtin.model import emit_scheme, emit_topology, format_rational
 
 
@@ -41,13 +41,13 @@ def main():
         print("  [" + ", ".join(f"{format_rational(a):>4}" for a in row) + "]")
     print()
 
-    base = decomp.evaluate_map(network, baseline_map())
+    base = decomp.evaluate_map(network, BASELINE_TIM_LINKS)
     show("strong links avoided, weak links absorbed (baseline)", base)
     slopes = slope_estimate(base.scheme, network, 1e6, 1e10)
     print(f"  finite-power slope check: {[round(s, 3) for s in slopes]}")
     print()
 
-    moved = decomp.evaluate_map(network, improved_map())
+    moved = decomp.evaluate_map(network, IMPROVED_TIM_LINKS)
     show("one medium link moved to the vector-space side", moved)
     print()
 

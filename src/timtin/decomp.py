@@ -80,14 +80,16 @@ class SearchReport(NamedTuple):
     evaluated: int
 
 
-def split(channel: ChannelMatrix, dmap: DecompositionMap):
-    """Split a channel's cross links into its TIN link set (treated as
-    noise) and its TIM topology (exactly the TIM-tagged links)."""
-    if dmap.links != channel.link_set:
-        raise MapMismatch(
-            f"map covers {sorted(dmap.links)} but present cross links are {sorted(channel.link_set)}"
-        )
-    return dmap.tin_links, TimTopology(channel.K, dmap.tim_links)
+def split(channel: ChannelMatrix, tim_links) -> DecompositionMap:
+    """The map that sends ``tim_links`` to the TIM component and every other
+    present cross link to the TIN component (treated as noise).  A link
+    that is not a present cross link of the channel, such as an absent or
+    a self link, is a MapMismatch."""
+    tim = frozenset(tim_links)  # a frozenset is kept as is
+    if not tim <= channel.link_set:
+        extra = sorted(tim - channel.link_set, key=repr)
+        raise MapMismatch(f"links {extra} are not present cross links of the channel")
+    return DecompositionMap(tim, channel.link_set - tim)
 
 
 def synthesize_scheme(
@@ -110,12 +112,13 @@ def synthesize_scheme(
 
 def evaluate_map(
     channel: ChannelMatrix,
-    dmap: DecompositionMap,
+    tim_links,
     memo: dict | None = None,
     verifications: dict | None = None,
 ) -> DecompositionResult:
-    """Solve both components of one decomposition, synthesize the combined
-    scheme, and verify the per-user products on the original channel.
+    """Solve both components of the decomposition that sends ``tim_links``
+    to the TIM component (see split), synthesize the combined scheme, and
+    verify the per-user products on the original channel.
     ``memo`` is handed to tim_solve as its solution and coloring memo.
     ``verifications`` maps (block length, TIM directions, power exponents
     as numerator/denominator pairs), the values that determine the
@@ -124,8 +127,9 @@ def evaluate_map(
     synthesized and verified once per search and maps that share it share
     one Scheme object.  Products and the verdict are still computed per
     map."""
-    tin_links, tim_topology = split(channel, dmap)
-    heard = tin.Heard.of(channel, tin_links)  # shared by every TIN solve of this map
+    dmap = split(channel, tim_links)
+    tim_topology = TimTopology(channel.K, dmap.tim_links)  # a bad link fails before any solve
+    heard = tin.Heard.of(channel, dmap.tin_links)  # shared by every TIN solve of this map
     _, tin_sol = tin.tin_symmetric(channel, heard)
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
@@ -170,11 +174,9 @@ def _dominates(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) -
     return all(an * bd >= bn * ad for (an, ad), (bn, bd) in zip(a, b))
 
 
-def _mask_to_map(links: Sequence[tuple[int, int]], every: frozenset, mask: int) -> DecompositionMap:
-    """The map that sends link b of ``links`` (whose set is ``every``) to TIM
-    when bit b of mask is set, and the rest to TIN."""
-    tim_links = frozenset(l for b, l in enumerate(links) if mask >> b & 1)
-    return DecompositionMap(tim_links, every - tim_links)
+def _tim_links(links: Sequence[tuple[int, int]], mask: int) -> frozenset[tuple[int, int]]:
+    """The TIM side of a map bitmask: link b of ``links`` when bit b is set."""
+    return frozenset(l for b, l in enumerate(links) if mask >> b & 1)
 
 
 def candidate_masks(channel: ChannelMatrix, budget: SearchBudget) -> Sequence[int]:
@@ -200,7 +202,6 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
     maps evaluated."""
     budget = budget or SearchBudget()
     links = channel.cross_links()
-    every = frozenset(links)
     # candidate_masks ascends and each verified tuple keeps the first result
     # seen, so both dicts (insertion-ordered) are already in mask order.
     # They are keyed on the tuple's (numerator, denominator) pairs.
@@ -210,7 +211,7 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
     verifications: dict = {}  # and so do synthesized schemes
     masks = candidate_masks(channel, budget)
     for mask in masks:
-        result = evaluate_map(channel, _mask_to_map(links, every, mask), memo, verifications)
+        result = evaluate_map(channel, _tim_links(links, mask), memo, verifications)
         (passed if result.verdict else failed).setdefault(_pairs(result.verified), result)
     # A dominator has a strictly larger sum and dominance is transitive, so
     # in descending-sum order each tuple need only be tested against the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import ChannelMatrix, DecompositionMap
+from .model import ChannelMatrix
 
 # (receiver, transmitter) pairs, 0-based
 STRONG_LINKS = ((0, 3), (1, 0), (2, 1), (2, 4), (3, 0), (4, 3))
@@ -31,15 +31,6 @@ def five_user_network() -> ChannelMatrix:
     return ChannelMatrix(5, tuple(tuple(row) for row in alpha))
 
 
-def baseline_map() -> DecompositionMap:
-    """Strong links to the vector-space component, weak links to the
-    power-control component (symmetric GDoF 3/10)."""
-    return DecompositionMap(frozenset(STRONG_LINKS), frozenset(WEAK_LINKS))
-
-
-def improved_map() -> DecompositionMap:
-    """Baseline with the one weak link moved over (symmetric GDoF 1/3)."""
-    return DecompositionMap(
-        frozenset(STRONG_LINKS) | {MOVABLE_WEAK_LINK},
-        frozenset(WEAK_LINKS) - {MOVABLE_WEAK_LINK},
-    )
+# TIM sides of the two reference maps (see decomp.split)
+BASELINE_TIM_LINKS = frozenset(STRONG_LINKS)  # weak links to power control: symmetric GDoF 3/10
+IMPROVED_TIM_LINKS = BASELINE_TIM_LINKS | {MOVABLE_WEAK_LINK}  # the one weak link moved: 1/3

@@ -52,7 +52,8 @@ class EmptyVector(DomainError):
 
 
 class MapMismatch(DomainError):
-    """Decomposition map does not partition the present cross links."""
+    """A decomposition map's TIM side holds a link that is not a present
+    cross link of the channel."""
 
 
 class WeightMismatch(DomainError):
@@ -355,36 +356,15 @@ class GDoFReport:
         return tuple(u.gdof for u in self.users)
 
 
-def is_link(link) -> bool:
-    """True for a (receiver, transmitter) pair of Python ints; a bool or an
-    integer-valued float is not a user index."""
-    return type(link) is tuple and len(link) == 2 and type(link[0]) is int and type(link[1]) is int
-
-
 @dataclass(frozen=True)
 class DecompositionMap:
     """Assignment of each present cross link (receiver, transmitter) to the
-    vector-space (TIM) component or the power-level (TIN) component."""
+    vector-space (TIM) component or the power-level (TIN) component, as
+    ``decomp.split`` builds it: the TIN side is every present cross link
+    that the TIM side does not hold."""
 
     tim_links: frozenset[tuple[int, int]]
     tin_links: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        tim, tin = frozenset(self.tim_links), frozenset(self.tin_links)
-        object.__setattr__(self, "tim_links", tim)
-        object.__setattr__(self, "tin_links", tin)
-        for link in tim | tin:
-            if not is_link(link):
-                raise MapMismatch(f"link {link!r} is not a pair of int user indices")
-            if link[0] == link[1]:
-                raise MapMismatch(f"self link ({link[0]},{link[1]}) cannot be tagged")
-        both = tim & tin
-        if both:
-            raise MapMismatch(f"links tagged both ways: {sorted(both)}")
-
-    @property
-    def links(self) -> frozenset[tuple[int, int]]:
-        return self.tim_links | self.tin_links
 
 
 # --- JSON file formats (1-based user indices on disk) ---

@@ -42,9 +42,15 @@ from itertools import combinations
 from math import lcm
 
 from . import exactlp
-from .model import BudgetOutOfRange, InvariantViolation, is_link
+from .model import BudgetOutOfRange, InvariantViolation
 
 COLORING_LP_LIMIT = 16  # largest conflict component the exact coloring LP accepts
+
+
+def is_link(link) -> bool:
+    """True for a (receiver, transmitter) pair of Python ints; a bool or an
+    integer-valued float is not a user index."""
+    return type(link) is tuple and len(link) == 2 and type(link[0]) is int and type(link[1]) is int
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from timtin import decomp
-from timtin.fixtures import baseline_map, five_user_network, improved_map
+from timtin.fixtures import BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS, five_user_network
 
 
 @pytest.fixture(scope="session")
@@ -16,9 +16,9 @@ def network5():
 
 @pytest.fixture(scope="session")
 def baseline_result(network5):
-    return decomp.evaluate_map(network5, baseline_map())
+    return decomp.evaluate_map(network5, BASELINE_TIM_LINKS)
 
 
 @pytest.fixture(scope="session")
 def improved_result(network5):
-    return decomp.evaluate_map(network5, improved_map())
+    return decomp.evaluate_map(network5, IMPROVED_TIM_LINKS)

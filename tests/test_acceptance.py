@@ -22,7 +22,7 @@ from timtin.evaluator import (
     slope_estimate,
     user_gdof,
 )
-from timtin.fixtures import baseline_map, improved_map
+from timtin.fixtures import BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS
 from timtin.model import Scheme, Stream
 from timtin.tim import TimTopology, tim_solve
 
@@ -35,7 +35,7 @@ def _report(number: int, description: str, ok: bool, elapsed: float | None = Non
 
 def test_criterion_1_tin_symmetric_value(network5):
     start = time.perf_counter()
-    tin_links, _ = decomp.split(network5, baseline_map())
+    tin_links = decomp.split(network5, BASELINE_TIM_LINKS).tin_links
     d_sym, _ = tin.tin_symmetric(network5, tin_links)
     elapsed = time.perf_counter() - start
     _report(
@@ -49,8 +49,8 @@ def test_criterion_1_tin_symmetric_value(network5):
 def test_criterion_2_tim_half_rate_values(network5):
     start = time.perf_counter()
     outcomes = []
-    for dmap in (baseline_map(), improved_map()):
-        solution = tim_solve(TimTopology(network5.K, dmap.tim_links))
+    for tim_links in (BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS):
+        solution = tim_solve(TimTopology(network5.K, tim_links))
         outcomes.append(
             solution.method == "half_rate"
             and solution.fractions == (Fraction(1, 2),) * 5
@@ -66,8 +66,8 @@ def test_criterion_2_tim_half_rate_values(network5):
 
 def test_criterion_3_products_and_search(network5):
     start = time.perf_counter()
-    base = decomp.evaluate_map(network5, baseline_map())
-    moved = decomp.evaluate_map(network5, improved_map())
+    base = decomp.evaluate_map(network5, BASELINE_TIM_LINKS)
+    moved = decomp.evaluate_map(network5, IMPROVED_TIM_LINKS)
     frontier = decomp.search(network5).frontier  # exhaustive: 2^11 maps
     elapsed = time.perf_counter() - start
     ok = (

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from timtin import cli, decomp, evaluator
-from timtin.fixtures import baseline_map, five_user_network
+from timtin.fixtures import BASELINE_TIM_LINKS, five_user_network
 from timtin.model import emit_scheme, emit_topology, parse_scheme, parse_topology, to_fraction
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
@@ -28,7 +28,7 @@ def files(tmp_path_factory):
     network = five_user_network()
     topo = root / "topo.json"
     topo.write_text(emit_topology(network))
-    result = decomp.evaluate_map(network, baseline_map())
+    result = decomp.evaluate_map(network, BASELINE_TIM_LINKS)
     scheme = root / "scheme.json"
     scheme.write_text(emit_scheme(result.scheme))
     tiny_topo = root / "tiny.json"

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_channel
-from timtin import decomp, evaluator
-from timtin.fixtures import baseline_map
+from timtin import decomp, evaluator, tin
+from timtin.fixtures import BASELINE_TIM_LINKS
 from timtin.model import (
-    DecompositionMap,
     MapMismatch,
     WeightMismatch,
     validate_channel,
@@ -20,11 +19,11 @@ from timtin.tim import TimTopology, tim_solve
 
 
 def test_split_reference_components(network5):
-    tin_links, tim_topology = decomp.split(network5, baseline_map())
+    dmap = decomp.split(network5, BASELINE_TIM_LINKS)
     # TIN side keeps the weak links only
-    assert (0, 1) in tin_links and (0, 3) not in tin_links
-    assert {network5.alpha[k][i] for k, i in tin_links} == {Fraction(1, 2)}
-    assert tim_topology.links == baseline_map().tim_links
+    assert (0, 1) in dmap.tin_links and (0, 3) not in dmap.tin_links
+    assert {network5.alpha[k][i] for k, i in dmap.tin_links} == {Fraction(1, 2)}
+    assert dmap.tim_links == BASELINE_TIM_LINKS
 
 
 def test_split_is_lossless(network5):
@@ -32,22 +31,37 @@ def test_split_is_lossless(network5):
     links = network5.cross_links()
     for _ in range(20):
         tim = frozenset(l for l in links if rng.random() < 0.5)
-        dmap = DecompositionMap(tim, frozenset(links) - tim)
-        tin_links, tim_topology = decomp.split(network5, dmap)
-        assert tim_topology.links | tin_links == set(links)
-        assert tim_topology.links.isdisjoint(tin_links)
-        assert (tin_links, tim_topology.links) == (dmap.tin_links, dmap.tim_links)
+        dmap = decomp.split(network5, tim)
+        assert dmap.tim_links | dmap.tin_links == set(links)
+        assert dmap.tim_links.isdisjoint(dmap.tin_links)
+        assert dmap.tim_links == tim
 
 
 def test_split_rejects_wrong_map(network5):
-    with pytest.raises(MapMismatch):
-        decomp.split(network5, DecompositionMap(frozenset({(0, 3)}), frozenset()))
+    # an absent link, a self link and a user out of range
+    for tim_links in ({(0, 2)}, {(0, 3), (1, 1)}, {(0, 3), (5, 0)}):
+        with pytest.raises(MapMismatch):
+            decomp.split(network5, tim_links)
 
 
 def test_all_links_to_tin_gives_empty_tim(network5):
-    links = frozenset(network5.cross_links())
-    _, tim_topology = decomp.split(network5, DecompositionMap(frozenset(), links))
-    assert tim_topology.links == frozenset()
+    dmap = decomp.split(network5, frozenset())
+    assert dmap.tim_links == frozenset() and dmap.tin_links == network5.link_set
+
+
+@pytest.mark.parametrize("links", [{(1.7, 0)}, {(True, 2)}, {(1.0, 0)}, {(0, 1, 2)}])
+def test_evaluate_map_rejects_non_int_tim_links(links, monkeypatch):
+    """split refuses what is not a present cross link, and TimTopology what
+    equals one without being a pair of ints, both before either solve."""
+    # such links used to be truncated: {(1.7, 0)} became {(1, 0)}, {(True, 2)} {(1, 2)}
+    def solve(*args):
+        raise AssertionError("solved a map with a bad link")
+
+    monkeypatch.setattr(tin, "tin_symmetric", solve)
+    monkeypatch.setattr(decomp, "tim_solve", solve)
+    cm = validate_channel([["1", "1", "1"], ["1", "1", "1"], ["1", "1", "1"]])
+    with pytest.raises((MapMismatch, ValueError)):
+        decomp.evaluate_map(cm, links)
 
 
 def test_baseline_map_products(baseline_result):
@@ -98,7 +112,7 @@ def test_improved_scheme_shape(improved_result):
 
 def test_interference_free_channel_products():
     cm = validate_channel([["1", "0"], ["0", "1.5"]])
-    result = decomp.evaluate_map(cm, DecompositionMap(frozenset(), frozenset()))
+    result = decomp.evaluate_map(cm, frozenset())
     assert result.tin_fractions == (1, Fraction(3, 2))
     assert result.tim_fractions == (1, 1)
     assert result.products == (1, Fraction(3, 2))
@@ -108,7 +122,7 @@ def test_interference_free_channel_products():
 
 def test_single_user_trivial():
     cm = validate_channel([["1"]])
-    result = decomp.evaluate_map(cm, DecompositionMap(frozenset(), frozenset()))
+    result = decomp.evaluate_map(cm, frozenset())
     assert result.scheme.n == 1
     assert result.scheme.streams[0].power_exp == 0
     assert result.verified == (1,)
@@ -121,7 +135,7 @@ def test_search_frontier_contains_improved_value(network5):
     assert all(r.verdict for r in report.frontier)
     assert max(min(r.verified) for r in report.frontier) >= Fraction(1, 3)
     # the naive strong-links-to-TIM split is strictly dominated
-    baseline = decomp.evaluate_map(network5, baseline_map())
+    baseline = decomp.evaluate_map(network5, BASELINE_TIM_LINKS)
     assert min(baseline.verified) == Fraction(3, 10) < Fraction(1, 3)
 
 
@@ -220,7 +234,7 @@ def test_search_results_in_mask_order(cap):
     budget = decomp.SearchBudget(exhaustive_cap=cap)
     first_mask = {}
     for mask in decomp.candidate_masks(cm, budget):
-        verified = decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask)).verified
+        verified = decomp.evaluate_map(cm, decomp._tim_links(links, mask)).verified
         first_mask.setdefault(verified, mask)
     report = decomp.search(cm, budget)
     for group, verdict in ((report.frontier, True), (report.failed, False)):
@@ -237,7 +251,7 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
     distinct = {
-        decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask)).scheme
+        decomp.evaluate_map(cm, decomp._tim_links(links, mask)).scheme
         for mask in range(1 << len(links))
     }
     synthesize, user_gdof = decomp.synthesize_scheme, evaluator.user_gdof
@@ -271,9 +285,9 @@ def test_shared_memos_match_memo_less_evaluation(seed):
     links = cm.cross_links()
     memo, verifications = {}, {}
     for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=6)):
-        dmap = decomp._mask_to_map(links, frozenset(links), mask)
-        shared = decomp.evaluate_map(cm, dmap, memo, verifications)
-        alone = decomp.evaluate_map(cm, dmap)
+        tim_links = decomp._tim_links(links, mask)
+        shared = decomp.evaluate_map(cm, tim_links, memo, verifications)
+        alone = decomp.evaluate_map(cm, tim_links)
         for field in fields(shared):
             assert getattr(shared, field.name) == getattr(alone, field.name), (field.name, mask)
 
@@ -290,7 +304,7 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
     links = cm.cross_links()
     passed = {}
     for mask in decomp.candidate_masks(cm, budget):
-        result = decomp.evaluate_map(cm, decomp._mask_to_map(links, frozenset(links), mask))
+        result = decomp.evaluate_map(cm, decomp._tim_links(links, mask))
         if result.verdict:
             passed.setdefault(result.verified, result)
     expected = [

@@ -302,12 +302,12 @@ def test_single_stream_single_use_reduction(seed):
 
 INVARIANT_UNDER_O = """
 from timtin import evaluator
-from timtin.fixtures import baseline_map, five_user_network
+from timtin.fixtures import BASELINE_TIM_LINKS, five_user_network
 from timtin.decomp import evaluate_map
 from timtin.model import InvariantViolation
 
 network = five_user_network()
-scheme = evaluate_map(network, baseline_map()).scheme
+scheme = evaluate_map(network, BASELINE_TIM_LINKS).scheme
 evaluator.logdet_exponent = lambda pairs: -len(pairs)  # more pairs, smaller exponent
 try:
     evaluator.user_gdof(scheme, network, 0)

@@ -21,7 +21,7 @@ import pytest
 from oracles import MIXED_CROSS, MIXED_DIAG, random_channel
 from timtin import cli, decomp
 from timtin.fixtures import five_user_network
-from timtin.model import DecompositionMap, dumps, emit_topology
+from timtin.model import dumps, emit_topology
 
 # network name -> (channel, extra decompose options)
 NETWORKS = {
@@ -111,8 +111,7 @@ def per_map_digest(channel, options) -> str:
     digest = hashlib.sha256()
     for mask in decomp.candidate_masks(channel, budget):
         tim = frozenset(l for b, l in enumerate(links) if mask >> b & 1)
-        dmap = DecompositionMap(tim, frozenset(links) - tim)
-        result = decomp.evaluate_map(channel, dmap, memo, verifications)
+        result = decomp.evaluate_map(channel, tim, memo, verifications)
         digest.update(f"{mask}\n{dumps(cli._result_doc(result))}".encode())
     return digest.hexdigest()
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from timtin import cli, decomp
-from timtin.fixtures import baseline_map, five_user_network
+from timtin.fixtures import BASELINE_TIM_LINKS, five_user_network
 from timtin.model import emit_scheme, emit_topology
 
 ROOT = Path(__file__).parent.parent
@@ -42,7 +42,7 @@ def test_exact_commands_load_no_numpy_until_the_oracle(tmp_path, capsys):
     network = five_user_network()
     topo, scheme, report = tmp_path / "topo.json", tmp_path / "scheme.json", tmp_path / "report.json"
     topo.write_text(emit_topology(network))
-    scheme.write_text(emit_scheme(decomp.evaluate_map(network, baseline_map()).scheme))
+    scheme.write_text(emit_scheme(decomp.evaluate_map(network, BASELINE_TIM_LINKS).scheme))
     small = tmp_path / "small.json"
     small.write_text('{"K": 3, "alpha": [["1", "0.5", "0"], ["1", "1", "0.5"], ["0", "0.5", "1"]]}')
     assert cli.main(["decompose", "-t", str(small)]) == 0

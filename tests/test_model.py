@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from timtin.decomp import split
 from timtin.fixtures import five_user_network
 from timtin.model import (
-    DecompositionMap,
     DimensionMismatch,
     EmptyVector,
     MalformedDocument,
@@ -178,30 +178,15 @@ def test_validate_scheme_rejects_unknown_user():
         validate_scheme(Scheme(1, (Stream(3, (1,), 0),)), cm)
 
 
-def test_decomposition_map_rejects_double_tag():
-    with pytest.raises(MapMismatch):
-        DecompositionMap(frozenset({(0, 1)}), frozenset({(0, 1)}))
-
-
 def test_decomposition_map_rejects_self_link():
     with pytest.raises(MapMismatch):
-        DecompositionMap(frozenset({(1, 1)}), frozenset())
-
-
-@pytest.mark.parametrize(
-    "tim_links, tin_links",
-    [({(1.7, 0)}, set()), (set(), {(True, 2)}), ({(1.0, 0)}, set()), ({(0, 1, 2)}, set())],
-)
-def test_decomposition_map_rejects_non_int_indices(tim_links, tin_links):
-    # such links used to be truncated: {(1.7, 0)} became {(1, 0)}, {(True, 2)} {(1, 2)}
-    with pytest.raises(MapMismatch):
-        DecompositionMap(tim_links, tin_links)
+        split(validate_channel([["1", "1"], ["1", "1"]]), {(1, 1)})
 
 
 def test_decomposition_map_keeps_int_links():
-    dmap = DecompositionMap({(0, 1)}, frozenset({(1, 0)}))
+    dmap = split(validate_channel([["1", "1"], ["1", "1"]]), {(0, 1)})
     assert dmap.tim_links == frozenset({(0, 1)}) and isinstance(dmap.tim_links, frozenset)
-    assert dmap.links == {(0, 1), (1, 0)}
+    assert dmap.tin_links == frozenset({(1, 0)})
 
 
 def test_topology_round_trip():
@@ -247,7 +232,14 @@ def test_scheme_from_rows_equals_the_stream_built_scheme():
 
 
 def test_map_output_matches_its_schema():
-    dmap = DecompositionMap(frozenset({(0, 3), (1, 0)}), frozenset({(0, 1)}))
+    # present cross links (0, 1), (0, 3) and (1, 0)
+    cm = validate_channel([
+        ["1", "1", "0", "1"],
+        ["1", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ])
+    dmap = split(cm, {(0, 3), (1, 0)})
     doc = json.loads(emit_decomposition_map(dmap))
     jsonschema.validate(doc, json.loads((SCHEMA_DIR / "decomposition_map.schema.json").read_text()))
     assert doc == {"tim_links": link_list(dmap.tim_links), "tin_links": link_list(dmap.tin_links)}

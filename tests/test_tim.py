@@ -14,12 +14,9 @@ from oracles import (
 )
 from timtin import tim
 from timtin.evaluator import user_gdof
-from timtin.fixtures import baseline_map, improved_map
+from timtin.fixtures import BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS
 from timtin.model import BudgetOutOfRange, ChannelMatrix, Scheme, Stream
 from timtin.tim import COLORING_LP_LIMIT, TimTopology, build_graphs, fractional_coloring, tim_solve
-
-BASELINE_LINKS = frozenset(baseline_map().tim_links)
-IMPROVED_LINKS = frozenset(improved_map().tim_links)
 
 
 def binary_channel(topo: TimTopology) -> ChannelMatrix:
@@ -86,13 +83,13 @@ def test_topology_keeps_int_links():
 
 
 def test_build_graphs_reference_component():
-    alignment, conflict = build_graphs(TimTopology(5, BASELINE_LINKS))
+    alignment, conflict = build_graphs(TimTopology(5, BASELINE_TIM_LINKS))
     assert alignment == frozenset({(1, 4)})
     assert conflict == frozenset({(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)})
 
 
 def test_build_graphs_reference_component_with_moved_link():
-    alignment, conflict = build_graphs(TimTopology(5, IMPROVED_LINKS))
+    alignment, conflict = build_graphs(TimTopology(5, IMPROVED_TIM_LINKS))
     assert alignment == frozenset({(0, 2), (1, 4)})
     assert conflict == frozenset({(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)})
 
@@ -111,18 +108,18 @@ def test_build_graphs_fully_connected():
 
 
 def test_reference_component_half_rate():
-    sol, scheme = realization(TimTopology(5, BASELINE_LINKS))
+    sol, scheme = realization(TimTopology(5, BASELINE_TIM_LINKS))
     assert sol.fractions == (Fraction(1, 2),) * 5
     assert sol.method == "half_rate" and sol.n == 2
     # aligned pair shares one direction; four distinct directions overall
     assert sol.directions[1] == sol.directions[4]
     assert len({d[0] for d in sol.directions}) == 4
     for k in range(5):
-        assert user_gdof(scheme, binary_channel(TimTopology(5, BASELINE_LINKS)), k).gdof == Fraction(1, 2)
+        assert user_gdof(scheme, binary_channel(TimTopology(5, BASELINE_TIM_LINKS)), k).gdof == Fraction(1, 2)
 
 
 def test_reference_component_with_moved_link_still_half_rate():
-    sol, _ = realization(TimTopology(5, IMPROVED_LINKS))
+    sol, _ = realization(TimTopology(5, IMPROVED_TIM_LINKS))
     assert sol.fractions == (Fraction(1, 2),) * 5
     assert sol.method == "half_rate" and sol.n == 2
     assert sol.directions[0] == sol.directions[2]

@@ -16,16 +16,16 @@ from oracles import (
     tin_subchannel,
 )
 from timtin import decomp, tin
-from timtin.fixtures import baseline_map, five_user_network, improved_map
+from timtin.fixtures import BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS, five_user_network
 from timtin.model import validate_channel
 from timtin.tin import single_level_gdof, tin_feasible, tin_symmetric
 
 
-def tin_component(dmap):
-    """The reference network and the map's TIN link set."""
+def tin_component(tim_links):
+    """The reference network and the TIN link set of the map whose TIM
+    side is ``tim_links``."""
     network = five_user_network()
-    tin_links, _ = decomp.split(network, dmap)
-    return network, tin_links
+    return network, decomp.split(network, tim_links).tin_links
 
 
 def test_no_cross_links_full_targets_feasible():
@@ -35,7 +35,7 @@ def test_no_cross_links_full_targets_feasible():
 
 
 def test_reference_weak_component_symmetric():
-    cm, links = tin_component(baseline_map())
+    cm, links = tin_component(BASELINE_TIM_LINKS)
     d, sol = tin_symmetric(cm, links)
     assert d == Fraction(3, 5)
     assert sol.r == (0, Fraction(-1, 10), Fraction(-1, 5), Fraction(-3, 10), Fraction(-2, 5))
@@ -44,7 +44,7 @@ def test_reference_weak_component_symmetric():
 
 
 def test_reference_reduced_component_symmetric():
-    cm, links = tin_component(improved_map())
+    cm, links = tin_component(IMPROVED_TIM_LINKS)
     d, sol = tin_symmetric(cm, links)
     assert d == Fraction(2, 3)
     assert sol.r == (0, Fraction(-1, 6), 0, Fraction(-1, 6), Fraction(-1, 3))
