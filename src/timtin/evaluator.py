@@ -48,6 +48,11 @@ if TYPE_CHECKING:
 # Beyond this power the spread of covariance eigenvalues exhausts double
 # precision, so the oracle refuses rather than returning noise.
 MAX_ORACLE_POWER = 1e12
+# Longest block the oracle takes: each log-det is of an n x n matrix, by an
+# O(n^3) mpmath LU at high power.  One such log-det of dense directions
+# takes 0.22 s at n = 32, 1.45 s at n = 64 and ~14 s at n = 128 (2-vCPU
+# VM), and a double-path n = 2000 one-stream pass peaks at 128 MB RSS.
+MAX_ORACLE_BLOCK = 64
 MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
 _MAX_COORDINATE_EXACT = Fraction(MAX_ORACLE_COORDINATE)  # what a Fraction compares against
 _INT = frozenset({int})
@@ -243,6 +248,8 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
         raise ValueError("P must exceed 1")
     if P > MAX_ORACLE_POWER:
         raise ValueError(f"P capped at {MAX_ORACLE_POWER:.0e} for double precision")
+    if scheme.n > MAX_ORACLE_BLOCK:
+        raise ValueError(f"block length {scheme.n} exceeds the oracle's limit of {MAX_ORACLE_BLOCK}")
     users = [s.user for s in scheme.streams]
     strengths = [[row[u] for u in users] for row in channel.alpha]
     reach = sys.float_info.max_10_exp / math.log10(P)

@@ -10,7 +10,9 @@ of its own members, every remaining user gets half its space in a 2-use
 block; otherwise the conflict graph is fractionally colored and users get
 orthogonal time-sharing slots.  Every such component takes the exact LP
 over its maximal independent sets, up to COLORING_LP_LIMIT = 16 users;
-there is no heuristic fallback, so a larger one raises BudgetOutOfRange.
+there is no heuristic fallback, so a larger one raises BudgetOutOfRange,
+as does a solution whose directions would hold more than
+MAX_DIRECTION_ENTRIES coordinates, before any is built.
 
 At 16 users the LP stays cheap (integer simplex, one thread of a 2-vCPU
 VM, Bron-Kerbosch + LP): a hub joined to five triangles, 244 maximal
@@ -45,6 +47,13 @@ from . import exactlp
 from .model import BudgetOutOfRange, InvariantViolation
 
 COLORING_LP_LIMIT = 16  # largest conflict component the exact coloring LP accepts
+# Most coordinates a solution's directions may hold in all: the block n is
+# the lcm of the component blocks, so a few small components can need a
+# huge one.  Disjoint circulant components C_m(1, 2) of 11 and 13 users
+# hold 143,143 (n = 143) and `timtin tim` prints them at 39 MB peak RSS in
+# 0.23 s; 5, 7 and 11 users hold 889,350 (n = 385) and take 157 MB; add
+# 13 users and 2.5e8 would take gigabytes.
+MAX_DIRECTION_ENTRIES = 250_000
 
 
 def is_link(link) -> bool:
@@ -246,6 +255,13 @@ def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
             plans.append((block, local, 1 / chi_f, True))
 
     n = lcm(*[block for block, _, _, _ in plans])
+    # Every direction has n coordinates: count them before building any.
+    vectors = sum(n // block * len(vecs) for block, local, _, _ in plans for vecs in local.values())
+    entries = n * (vectors + n * sum(not adj for adj in conf_adj))  # inactive users get n each
+    if entries > MAX_DIRECTION_ENTRIES:
+        raise BudgetOutOfRange(
+            f"a {n}-use block needs {entries} direction entries, beyond {MAX_DIRECTION_ENTRIES}"
+        )
     fractions = [Fraction(1)] * K
     directions: list[tuple[tuple[int, ...], ...]] = [()] * K
     for u in range(K):

@@ -307,6 +307,22 @@ def test_oracle_coordinate_bound_is_exact(capsys, tmp_path, excess, code):
         assert json.loads(out)["error"].startswith("ValueError: ")
 
 
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 1)])
+def test_oracle_block_length_bound(capsys, tmp_path, excess, code):
+    """A block of MAX_ORACLE_BLOCK uses is evaluated; one use more is
+    refused with an error that names the limit."""
+    n = evaluator.MAX_ORACLE_BLOCK + excess
+    topo, scheme_file = tmp_path / "topo.json", tmp_path / "scheme.json"
+    topo.write_text('{"K": 1, "alpha": [[1]]}')
+    scheme_file.write_text(json.dumps(
+        {"n": n, "streams": [{"user": 1, "vector": [1] * n, "power_exp": 0}]}
+    ))
+    got, out = run(capsys, "oracle", "-t", str(topo), "-s", str(scheme_file))
+    assert got == code
+    if code:
+        assert json.loads(out)["error"] == f"ValueError: block length {n} exceeds the oracle's limit of {n - 1}"
+
+
 def test_oracle_exponent_at_double_range_edge_is_evaluated(capsys, tmp_path):
     """308 / log10(1e6) = 51.33...: a strength of 51 stays within range."""
     topo, scheme_file = tmp_path / "topo.json", tmp_path / "scheme.json"
@@ -329,6 +345,27 @@ def test_coloring_component_beyond_limit_is_budget_error(capsys, tmp_path, comma
     doc = json.loads(out)
     jsonschema.validate(doc, schema("error.schema.json"))
     assert doc["error"].startswith("BudgetOutOfRange: ")
+
+
+@pytest.mark.parametrize("command", ["tim", "decompose"])
+def test_tim_block_beyond_direction_budget_is_budget_error(capsys, tmp_path, command):
+    """Circulant components C_m(1, 2) of 5, 7, 11 and 13 users: a 6.5 KB
+    topology whose 5005-use block would need 2.5e8 direction coordinates."""
+    alpha, base = [["0"] * 36 for _ in range(36)], 0
+    for m in (5, 7, 11, 13):
+        for k in range(m):
+            for d in (0, 1, 2):
+                alpha[base + k][base + (k + d) % m] = "1"
+        base += m
+    topo = tmp_path / "circulant.json"
+    topo.write_text(json.dumps({"K": 36, "alpha": alpha}))
+    code, out = run(capsys, command, "-t", str(topo))
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"] == (
+        "BudgetOutOfRange: a 5005-use block needs 250500250 direction entries, beyond 250000"
+    )
 
 
 def test_exhaustive_cap_beyond_ceiling_is_domain_error(files, capsys, monkeypatch):

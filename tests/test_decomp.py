@@ -10,6 +10,7 @@ from oracles import random_channel
 from timtin import decomp, evaluator, tin
 from timtin.fixtures import BASELINE_TIM_LINKS
 from timtin.model import (
+    ChannelMatrix,
     MapMismatch,
     WeightMismatch,
     validate_channel,
@@ -312,6 +313,43 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
         if not any(o != tup and all(a >= b for a, b in zip(o, tup)) for o in passed)
     ]
     assert decomp.search(cm, budget).frontier == expected
+
+
+QUARTERS = [Fraction(n, 4) for n in range(9)]
+
+
+@st.composite
+def tin_optimal_channels(draw):
+    """Channels in which every user k has alpha_kk >= max_{j != k} alpha_jk
+    + max_{i != k} alpha_ki, the condition under which the polyhedral TIN
+    region is the whole GDoF region (Geng, Naderializadeh, Avestimehr and
+    Jafar, arXiv:1305.4610).  K <= 5 and at most 8 cross links, so that a
+    search is exhaustive."""
+    K = draw(st.integers(1, 5))
+    pairs = [(k, i) for k in range(K) for i in range(K) if k != i]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    alpha = [[Fraction(0)] * K for _ in range(K)]
+    for k, i in links:
+        alpha[k][i] = draw(st.sampled_from(QUARTERS[1:]))
+    for k in range(K):
+        heard = max(alpha[k][i] for i in range(K) if i != k) if K > 1 else 0
+        caused = max(alpha[j][k] for j in range(K) if j != k) if K > 1 else 0
+        alpha[k][k] = max(heard + caused + draw(st.sampled_from(QUARTERS[:5])), QUARTERS[1])
+    return ChannelMatrix(K, tuple(map(tuple, alpha)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tin_optimal_channels())
+def test_no_verified_tuple_leaves_the_tin_region_where_tin_is_optimal(channel):
+    """Where TIN is GDoF-optimal, every tuple the search verifies, and every
+    product a passing result claims, is TIN-feasible with every link heard:
+    a tuple outside would be an evaluator or synthesis defect."""
+    report = decomp.search(channel)
+    assert report.evaluated == 1 << len(channel.link_set)
+    for result in report.frontier + report.failed:
+        assert tin.tin_feasible(channel, result.verified).feasible, result.verified
+        if result.verdict:
+            assert tin.tin_feasible(channel, result.products).feasible, result.products
 
 
 def test_time_share_identity_and_mixing(baseline_result, improved_result):

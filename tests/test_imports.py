@@ -1,5 +1,6 @@
-"""What modules import: the CLI starts on the standard library alone, and
-no module imports a name it never reads."""
+"""What modules import and hold: the CLI starts on the standard library
+alone, no module imports a name it never reads, and the package states no
+invariant as an ``assert``."""
 
 import ast
 import json
@@ -113,3 +114,17 @@ def test_no_module_imports_a_name_it_never_reads():
     ]
     assert not unused, "imported and never read:\n" + "\n".join(unused)
 
+
+
+def test_no_package_module_has_an_assert_statement():
+    """python -O strips assert statements, so every invariant under
+    src/timtin must be a real check that raises."""
+    modules = sorted((ROOT / "src" / "timtin").glob("*.py"))
+    assert len(modules) > 5
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, "assert statements, which python -O strips:\n" + "\n".join(asserts)

@@ -199,6 +199,39 @@ def test_half_rate_component_beyond_coloring_limit_is_solved():
     assert sol.method == "half_rate" and sol.fractions == (Fraction(1, 2),) * K
 
 
+def circulant_components(*sizes: int, K: int | None = None) -> TimTopology:
+    """Disjoint conflict components C_m(1, 2), one per size m: receiver k
+    of a component hears its transmitters k + 1 and k + 2 (mod m).  Users
+    beyond the components, up to K, hear nothing."""
+    links, base = set(), 0
+    for m in sizes:
+        links |= {(base + k, base + (k + d) % m) for k in range(m) for d in (1, 2)}
+        base += m
+    return TimTopology(base if K is None else K, links)
+
+
+@pytest.mark.parametrize(
+    "topo, n, entries",
+    [(circulant_components(11, 13), 143, 143_143), (circulant_components(5, 7, K=13), 35, 4_900)],
+)
+def test_direction_entries_are_counted_exactly(monkeypatch, topo, n, entries):
+    """The count checked against MAX_DIRECTION_ENTRIES is the number of
+    coordinates built, n^2 for a user that hears nothing (user 12 here)."""
+    sol = tim_solve(topo)
+    assert sol.n == n and sum(len(vec) for dirs in sol.directions for vec in dirs) == entries
+    assert entries <= tim.MAX_DIRECTION_ENTRIES
+    monkeypatch.setattr(tim, "MAX_DIRECTION_ENTRIES", entries - 1)
+    with pytest.raises(BudgetOutOfRange, match=f"a {n}-use block needs {entries} direction entries"):
+        tim_solve(topo)
+
+
+@pytest.mark.parametrize("sizes, n", [((5, 7, 11), 385), ((5, 7, 11, 13), 5005)])
+def test_block_beyond_the_direction_budget_is_refused(sizes, n):
+    """889,350 and 2.5e8 coordinates: refused before any is built."""
+    with pytest.raises(BudgetOutOfRange, match=f"a {n}-use block needs"):
+        tim_solve(circulant_components(*sizes))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6))
 def test_independent_sets_match_reference_scan(seed):
