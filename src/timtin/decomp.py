@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import evaluator, tin
 from .model import (
@@ -80,7 +80,7 @@ class SearchReport(NamedTuple):
     evaluated: int
 
 
-def split(channel: ChannelMatrix, tim_links) -> DecompositionMap:
+def split(channel: ChannelMatrix, tim_links: Iterable[tuple[int, int]]) -> DecompositionMap:
     """The map that sends ``tim_links`` to the TIM component and every other
     present cross link to the TIN component (treated as noise).  A link
     that is not a present cross link of the channel, such as an absent or
@@ -112,7 +112,7 @@ def synthesize_scheme(
 
 def evaluate_map(
     channel: ChannelMatrix,
-    tim_links,
+    tim_links: Iterable[tuple[int, int]],
     memo: dict | None = None,
     verifications: dict | None = None,
 ) -> DecompositionResult:

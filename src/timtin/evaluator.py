@@ -49,9 +49,10 @@ if TYPE_CHECKING:
 # precision, so the oracle refuses rather than returning noise.
 MAX_ORACLE_POWER = 1e12
 # Longest block the oracle takes: each log-det is of an n x n matrix, by an
-# O(n^3) mpmath LU at high power.  One such log-det of dense directions
-# takes 0.22 s at n = 32, 1.45 s at n = 64 and ~14 s at n = 128 (2-vCPU
-# VM), and a double-path n = 2000 one-stream pass peaks at 128 MB RSS.
+# O(n^3) mpmath LU at high power.  One such log-det of n dense directions
+# takes 0.22 s at n = 32, 1.45 s at n = 64 and 12.9 s at n = 128 (one
+# thread of a 2-vCPU VM), and a double-path n = 2000 one-stream pass
+# peaks at 128 MB RSS.
 MAX_ORACLE_BLOCK = 64
 MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
 _MAX_COORDINATE_EXACT = Fraction(MAX_ORACLE_COORDINATE)  # what a Fraction compares against

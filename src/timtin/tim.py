@@ -257,7 +257,7 @@ def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
     n = lcm(*[block for block, _, _, _ in plans])
     # Every direction has n coordinates: count them before building any.
     vectors = sum(n // block * len(vecs) for block, local, _, _ in plans for vecs in local.values())
-    entries = n * (vectors + n * sum(not adj for adj in conf_adj))  # inactive users get n each
+    entries = n * (vectors + n * sum(not adj for adj in conf_adj))  # an inactive user keeps all n
     if entries > MAX_DIRECTION_ENTRIES:
         raise BudgetOutOfRange(
             f"a {n}-use block needs {entries} direction entries, beyond {MAX_DIRECTION_ENTRIES}"
