@@ -8,8 +8,12 @@ order with an exact rank test attains that maximum (linear matroid +
 sorted weights), so no epsilon ever enters the GDoF path.  The sweep runs
 on Python ints: each scheme clears its vectors' denominators once
 (``Scheme.rows``), and receiver k's exponents are scaled by one lcm E of
-the channel's strength scale and the power-exponent denominators; only
-the resulting GDoF values become Fractions.
+the channel's strength scale and the power-exponent denominators.  One
+int core, ``_exponents_after``, reads a scheme's integer directions and
+integer receive exponents; user_gdof and gdof_report wrap it and make
+Fractions of the GDoF values they report, and ``scaled_gdof`` wraps it
+with no Fraction at all, which a decomposition search calls once per
+distinct scheme.
 
 A finite-power numerical oracle evaluates the actual achievable rates in
 floating point for cross-checking slopes against exact GDoF values.  Its
@@ -27,9 +31,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .model import (
     ChannelMatrix,
@@ -72,7 +76,7 @@ def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fractio
     the rank test as its integer_row.
     """
     if not pairs:
-        return Fraction(0)
+        return 0
     n = len(pairs[0][0])
     for vector, _ in pairs:
         if len(vector) != n:
@@ -81,12 +85,11 @@ def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fractio
             )
     # reverse keeps equal exponents in their given order, as a stable sort does
     ordered = sorted([p for p in pairs if p[1] >= 0], key=itemgetter(1), reverse=True)
-    basis: list[Sequence[int]] = []  # gcd-reduced integer echelon rows
-    pivots: list[int] = []
+    basis: list[tuple[Sequence[int], int]] = []  # gcd-reduced integer echelon rows, pivots
     total = 0 * pairs[0][1]  # zero of the exponents' type
     for vector, exponent in ordered:
         v = vector if {*map(type, vector)} == _INT else integer_row(vector)
-        for row, j in zip(basis, pivots):
+        for row, j in basis:
             c = v[j]
             if c:
                 a = row[j]
@@ -97,8 +100,7 @@ def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fractio
         else:  # dependent on the rows kept
             continue
         g = math.gcd(*v)
-        basis.append(v if g == 1 else [c // g for c in v])
-        pivots.append(pivot)
+        basis.append((v if g == 1 else [c // g for c in v], pivot))
         total += exponent
         if len(basis) == n:
             break
@@ -111,17 +113,22 @@ def _undecoded(users: Sequence[int], k: int, decoded: int) -> list[bool]:
     its own streams: every other user's stream, and user k's streams from
     position ``decoded`` on.  ``decoded`` 0 is the combined view; all of
     user k's streams decoded is the interference-plus-noise view."""
-    own_before = accumulate((u == k for u in users), initial=0)
-    return [u != k or before >= decoded for u, before in zip(users, own_before)]
+    own, heard = 0, []
+    for u in users:
+        own += u == k
+        heard.append(u != k or own > decoded)
+    return heard
 
 
 def _exponents_after(
-    scheme: Scheme, channel: ChannelMatrix, k: int, decodeds: Iterable[int]
+    scheme: Scheme, channel: ChannelMatrix, k: int, decodeds: Sequence[int]
 ) -> tuple[list[int], int]:
-    """Receiver k's log-det exponents after each number of decoded own
-    streams, as integers over one denominator E, returned alongside.  The
-    scheme's users, integer rows and scaled powers are cached on it, so
-    only the receive strengths are read per receiver."""
+    """The int core of every GDoF the evaluator gives: receiver k's log-det
+    exponents after each number in ``decodeds`` of its own streams decoded
+    (running from none to all of them), as integers over one denominator
+    E, returned alongside.  The scheme's users, integer rows and scaled
+    powers are cached on it, so only the receive strengths are read per
+    receiver."""
     S, (Q, powers), users = channel.scale, scheme.scaled_powers, scheme.users
     E = math.lcm(S, Q)
     row, per_strength, per_power = channel.scaled[k], E // S, E // Q
@@ -129,15 +136,24 @@ def _exponents_after(
         (vector, row[u] * per_strength + p * per_power)
         for vector, u, p in zip(scheme.rows, users, powers)
     ]
-    exps = [logdet_exponent(list(compress(pairs, _undecoded(users, k, d)))) for d in decodeds]
+    # with none decoded, receiver k hears every stream
+    views = (list(compress(pairs, _undecoded(users, k, d))) if d else pairs for d in decodeds)
+    exps = [logdet_exponent(view) for view in views]
+    if exps[0] < exps[-1]:  # the streams heard after decoding are a subset
+        raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
     return exps, E
 
 
-def _user_from(k: int, combined: int, interference: int, n: int, E: int) -> UserGdof:
-    """User k's GDoF from the exponents (over E) with none and all of its
+def scaled_gdof(scheme: Scheme, channel: ChannelMatrix) -> tuple[int, tuple[int, ...]]:
+    """Every user's GDoF as integers (D, N), the values N[k] / D: what
+    user_gdof gives, with no Fraction built."""
+    exps = [_exponents_after(scheme, channel, k, (0, scheme.users.count(k))) for k in range(channel.K)]
+    return scheme.n * exps[0][1], tuple(c - i for (c, i), _ in exps)  # one E for every receiver
+
+
+def _user_from(combined: int, interference: int, n: int, E: int) -> UserGdof:
+    """A user's GDoF from the exponents (over E) with none and all of its
     streams decoded."""
-    if combined < interference:  # interference pairs are a subset
-        raise InvariantViolation(f"user {k}: combined exponent below interference exponent")
     return UserGdof(
         Fraction(combined, E), Fraction(interference, E), Fraction(combined - interference, n * E)
     )
@@ -148,7 +164,7 @@ def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     difference."""
     b = scheme.users.count(k)
     (combined, interference), E = _exponents_after(scheme, channel, k, (0, b))
-    return _user_from(k, combined, interference, scheme.n, E)
+    return _user_from(combined, interference, scheme.n, E)
 
 
 def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
@@ -162,7 +178,7 @@ def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
     for k in range(channel.K):
         b = scheme.users.count(k)
         exps, E = _exponents_after(scheme, channel, k, range(b + 1))
-        u = _user_from(k, exps[0], exps[b], scheme.n, E)
+        u = _user_from(exps[0], exps[b], scheme.n, E)
         sc = tuple(Fraction(exps[l] - exps[l + 1], scheme.n * E) for l in range(b))
         if sum(sc, Fraction(0)) != u.gdof:
             raise InvariantViolation(f"user {k}: per-stream GDoF does not sum to the user GDoF")

@@ -234,11 +234,17 @@ def validate_channel(raw) -> ChannelMatrix:
     return ChannelMatrix(K, tuple(parsed))
 
 
+def over_lcm(values: Sequence) -> tuple[int, tuple[int, ...]]:
+    """Rationals as (m, N): m the lcm of their denominators and N[i] the
+    integer values[i] * m.  For reduced values, m and N share no factor."""
+    m = lcm(*(c.denominator for c in values))
+    return m, tuple(c.numerator * (m // c.denominator) for c in values)
+
+
 def integer_row(vector: Sequence) -> tuple[int, ...]:
     """A rational vector times the lcm of its denominators: a nonzero
     integer multiple of it, so it spans the same line."""
-    m = lcm(*(c.denominator for c in vector))
-    return tuple(c.numerator * (m // c.denominator) for c in vector)
+    return over_lcm(vector)[1]
 
 
 @dataclass(frozen=True)
@@ -283,16 +289,19 @@ class Scheme:
                 )
 
     @classmethod
-    def from_rows(cls, n: int, streams: Iterable[tuple[int, tuple[int, ...], Fraction]]) -> Scheme:
+    def from_rows(cls, n: int, streams: Iterable[tuple], interned: dict | None = None) -> Scheme:
         """A scheme from (user, integer direction, power exponent) triples.
-        Each stream's vector holds the direction as Fractions, one object
-        per distinct coordinate, and ``rows`` keeps the integers as given:
-        integer_row of an integer vector is that vector."""
+        Each stream's vector holds the direction as Fractions, and ``rows``
+        keeps the integers as given: integer_row of an integer vector is
+        that vector.  Equal triples give one Stream, built and checked once:
+        within the call, and across the calls that pass one ``interned``
+        dict, which the triples key."""
+        interned = {} if interned is None else interned
         triples = list(streams)
-        fractions = {c: Fraction(c) for c in {c for _, row, _ in triples for c in row}}
-        scheme = cls(n, tuple(
-            Stream(u, tuple(map(fractions.__getitem__, row)), p) for u, row, p in triples
-        ))
+        for triple in triples:
+            if triple not in interned:
+                interned[triple] = Stream(*triple)
+        scheme = cls(n, tuple(map(interned.__getitem__, triples)))
         scheme.__dict__["rows"] = tuple(row for _, row, _ in triples)  # the cached_property's slot
         return scheme
 
@@ -310,9 +319,7 @@ class Scheme:
     def scaled_powers(self) -> tuple[int, tuple[int, ...]]:
         """(Q, N): Q the lcm of the power-exponent denominators and N each
         stream's power exponent times Q, in stream order."""
-        powers = [s.power_exp for s in self.streams]
-        Q = lcm(*(p.denominator for p in powers))
-        return Q, tuple(p.numerator * (Q // p.denominator) for p in powers)
+        return over_lcm([s.power_exp for s in self.streams])
 
 
 def validate_scheme(scheme: Scheme, channel: ChannelMatrix) -> Scheme:

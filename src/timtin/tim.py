@@ -40,11 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
 from . import exactlp
-from .model import BudgetOutOfRange, InvariantViolation
+from .model import BudgetOutOfRange, InvariantViolation, over_lcm
 
 COLORING_LP_LIMIT = 16  # largest conflict component the exact coloring LP accepts
 # Most coordinates a solution's directions may hold in all: the block n is
@@ -54,12 +55,6 @@ COLORING_LP_LIMIT = 16  # largest conflict component the exact coloring LP accep
 # 0.23 s; 5, 7 and 11 users hold 889,350 (n = 385) and take 157 MB; add
 # 13 users and 2.5e8 would take gigabytes.
 MAX_DIRECTION_ENTRIES = 250_000
-
-
-def is_link(link) -> bool:
-    """True for a (receiver, transmitter) pair of Python ints; a bool or an
-    integer-valued float is not a user index."""
-    return type(link) is tuple and len(link) == 2 and type(link[0]) is int and type(link[1]) is int
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,8 @@ class TimTopology:
     def __post_init__(self):
         object.__setattr__(self, "links", frozenset(self.links))  # a frozenset is kept as is
         for link in self.links:
-            if not is_link(link):
+            # a bool or an integer-valued float is not a user index
+            if not (type(link) is tuple and len(link) == 2 and type(link[0]) is type(link[1]) is int):
                 raise ValueError(f"link {link!r} is not a pair of int user indices")
             k, i = link
             if k == i:
@@ -95,6 +91,11 @@ class TimSolution:
     method: str  # 'full' | 'half_rate' | 'coloring'
     n: int
     directions: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def scaled_fractions(self) -> tuple[int, tuple[int, ...]]:
+        """(B, F): the fractions as the integers F[u] over their lcm B."""
+        return over_lcm(self.fractions)
 
 
 def build_graphs(topo: TimTopology):

@@ -27,7 +27,13 @@ cycle of ratio at most t*, which is negative at every larger t.
 The arithmetic runs on Python ints, scaled by the channel's S (A = S *
 alpha): targets are d_k = D_k / (m * S) for one integer m, so an edge from
 user k to j weighs m * (A_kk - A_kj) - D_k, and Dinkelbach keeps t as the
-pair (C, m) of t = C / (m * S).  Values become Fractions in a TinSolution.
+pair (C, m) of t = C / (m * S).  A TinSolution keeps tin_feasible's
+integer potentials or cycle, over m * S reduced by their gcd, and builds
+its Fraction views (r, negative_cycle) only when they are read;
+single_level_scaled takes and returns numerators over one denominator,
+and single_level_gdof wraps it.  So a decomposition search, which solves
+every map, builds one Fraction per map here, tin_symmetric's t, and
+none per distinct value.
 Every solver reads its links as per-receiver heard lists (``Heard``); a
 caller that solves one link set several times, as a decomposition search
 does for each map, builds them once and passes them in place of the links.
@@ -39,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import AbstractSet, NamedTuple, Sequence
 
-from .model import ChannelMatrix, InvariantViolation, to_fraction
+from .model import ChannelMatrix, InvariantViolation, over_lcm, to_fraction
 
 # Constraint edges are (u, v, w) meaning r_v - r_u <= w; node K is the
 # anchor pinned to 0.
@@ -52,16 +59,30 @@ Links = AbstractSet[tuple[int, int]]
 
 @dataclass(frozen=True)
 class TinSolution:
-    """Outcome of a feasibility check.
+    """Outcome of a feasibility check, as integers over ``scale`` with no
+    factor common to all, so that equal solutions have equal fields.
 
-    When feasible, ``r`` holds the componentwise-maximal power exponents;
-    when infeasible, ``negative_cycle`` holds constraint edges whose
-    weights sum to a negative value (the infeasibility certificate).
+    When feasible, ``potentials`` are the componentwise-maximal power
+    exponents times scale; when infeasible, ``cycle`` holds constraint
+    edges (u, v, weight times scale) whose weights sum to a negative value
+    (the infeasibility certificate).  ``r`` and ``negative_cycle`` are
+    their Fraction views, built on first use.
     """
 
     feasible: bool
-    r: tuple[Fraction, ...] | None
-    negative_cycle: tuple[Edge, ...] | None
+    potentials: tuple[int, ...] | None
+    cycle: tuple[tuple[int, int, int], ...] | None
+    scale: int
+
+    @cached_property
+    def r(self) -> tuple[Fraction, ...] | None:
+        if self.potentials is not None:
+            return tuple(Fraction(x, self.scale) for x in self.potentials)
+
+    @cached_property
+    def negative_cycle(self) -> tuple[Edge, ...] | None:
+        if self.cycle is not None:
+            return tuple((u, v, Fraction(w, self.scale)) for u, v, w in self.cycle)
 
 
 class Heard(tuple):
@@ -95,12 +116,11 @@ class Scaled(NamedTuple):
 
 def _scaled(channel: ChannelMatrix, targets: Sequence | Scaled) -> Scaled:
     if not isinstance(targets, Scaled):
-        d = tuple(to_fraction(t) for t in targets)
-        m = lcm(*(t.denominator for t in d))
-        targets = Scaled(m, tuple(t.numerator * (m // t.denominator) * channel.scale for t in d))
+        m, N = over_lcm([to_fraction(t) for t in targets])
+        targets = Scaled(m, tuple(x * channel.scale for x in N))
     if len(targets.D) != channel.K:
         raise ValueError(f"expected {channel.K} targets, got {len(targets.D)}")
-    if any(x < 0 for x in targets.D):
+    if min(targets.D) < 0:  # K >= 1
         raise ValueError("targets must be nonnegative")
     return targets
 
@@ -110,12 +130,22 @@ def single_level_gdof(
 ) -> tuple[Fraction, ...]:
     """GDoF tuple of the one-stream-per-user, single-use scheme with power
     exponents r, treating the interference of ``links`` as noise."""
-    m, S, A = lcm(*(x.denominator for x in r)), channel.scale, channel.scaled
-    R = [x.numerator * (m // x.denominator) * S for x in r]  # m * S * r
-    return tuple(
-        Fraction(max(0, m * A[k][k] + R[k] - max([0, *(m * A[k][j] + R[j] for j in heard)])), m * S)
-        for k, heard in enumerate(_heard(channel, links))
-    )
+    D, N = single_level_scaled(channel, *over_lcm(r), links)
+    return tuple(Fraction(x, D) for x in N)
+
+
+def single_level_scaled(
+    channel: ChannelMatrix, M: int, R: Sequence[int], links: Links | Heard | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """single_level_gdof on integers: for power exponents R[k] / M, the
+    GDoF tuple as (D, N), the values N[k] / D over D = lcm(M, S)."""
+    D = lcm(M, channel.scale)
+    a, p = D // channel.scale, D // M
+    N = []
+    for k, (row, heard) in enumerate(zip(channel.scaled, _heard(channel, links))):
+        noise = max([0, *[a * row[j] + p * R[j] for j in heard]])
+        N.append(max(0, a * row[k] + p * R[k] - noise))
+    return D, tuple(N)
 
 
 def _edges(channel: ChannelMatrix, heard: Heard, m: int, D: Sequence[int]):
@@ -175,10 +205,12 @@ def tin_feasible(
     m, D = _scaled(channel, targets)
     dist, cycle = _bellman_ford(K, _edges(channel, _heard(channel, links), m, D))
     if cycle is not None:
-        return TinSolution(False, None, tuple((u, v, Fraction(w, m * S)) for u, v, w in cycle))
+        g = gcd(m * S, *(w for _, _, w in cycle))
+        return TinSolution(False, None, tuple((u, v, w // g) for u, v, w in cycle), m * S // g)
     if dist[K] != 0:
         raise InvariantViolation("TIN anchor potential moved without a negative cycle")
-    return TinSolution(True, tuple(Fraction(x, m * S) for x in dist[:K]), None)
+    g = gcd(m * S, *dist)  # dist[K] is 0
+    return TinSolution(True, tuple(x // g for x in dist[:K]), None, m * S // g)
 
 
 def tin_symmetric(
@@ -216,6 +248,6 @@ def tin_symmetric(
             return Fraction(C, m * S), sol
         # Edges leaving user u cost S * (a_uu - a_uv), or S * a_uu into the
         # anchor; edges leaving the anchor cost 0.
-        user_edges = [(u, v) for u, v, _ in sol.negative_cycle if u != K]
+        user_edges = [(u, v) for u, v, _ in sol.cycle if u != K]
         cost = sum(A[u][u] - (A[u][v] if v != K else 0) for u, v in user_edges)
         C, m = (cost, len(user_edges)) if cost > 0 else (0, 1)

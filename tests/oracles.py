@@ -16,9 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
+from timtin.decomp import DecompositionResult, SearchBudget, SearchReport, candidate_masks
 from timtin.model import (
-    ChannelMatrix, InvariantViolation, NumericalFailure, Scheme, Stream, to_fraction,
+    ChannelMatrix, DecompositionMap, InvariantViolation, NumericalFailure, Scheme, Stream,
+    to_fraction,
 )
+from timtin.tim import TimTopology, tim_solve
 from timtin.tin import Edge, TinSolution
 
 
@@ -213,11 +216,14 @@ def reference_tin_feasible(channel: ChannelMatrix, targets: Sequence) -> TinSolu
     if any(t < 0 for t in d):
         raise ValueError("targets must be nonnegative")
     dist, cycle = _reference_bellman_ford(channel.K + 1, _reference_edges(channel, d), channel.K)
+    # a TinSolution holds its values over their least common denominator
     if cycle is not None:
-        return TinSolution(False, None, cycle)
+        scale = lcm(*(w.denominator for _, _, w in cycle))
+        return TinSolution(False, None, tuple((u, v, int(w * scale)) for u, v, w in cycle), scale)
     if dist[channel.K] != 0:
         raise InvariantViolation("TIN anchor potential moved without a negative cycle")
-    return TinSolution(True, tuple(dist[: channel.K]), None)
+    scale = lcm(*(x.denominator for x in dist[: channel.K]))
+    return TinSolution(True, tuple(int(x * scale) for x in dist[: channel.K]), None, scale)
 
 
 def reference_tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSolution]:
@@ -240,6 +246,78 @@ def reference_tin_symmetric(channel: ChannelMatrix) -> tuple[Fraction, TinSoluti
         count = sum(1 for u, _, _ in sol.negative_cycle if u != channel.K)
         total = sum((w for _, _, w in sol.negative_cycle), Fraction(0))
         t = max(Fraction(0), (total + count * t) / count)
+
+
+# --- reference decomposition search: the library's earlier eager search,
+# every value a Fraction and every map's result built in full.  Its TIN
+# side is the reference solver above on the TIN sub-channel, and each
+# user's GDoF comes from a greedy sweep with Fraction rank tests; only the
+# TIM solver and the candidate masks are the library's own.
+
+
+def greedy_exponent(pairs) -> Fraction:
+    """Largest weight sum over linearly independent (vector, weight) pairs
+    with weight >= 0: the matroid greedy, in descending weight order, with
+    an exact rank test per pair."""
+    kept, total = [], Fraction(0)
+    for vector, weight in sorted(pairs, key=lambda p: p[1], reverse=True):
+        if weight >= 0 and rank_of(kept + [vector]) > len(kept):
+            kept.append(vector)
+            total += weight
+    return total
+
+
+def reference_user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> Fraction:
+    """User k's GDoF: the exponent with every stream heard minus the one
+    with user k's own streams removed, over the block length."""
+    pairs = [(s.vector, channel.alpha[k][s.user] + s.power_exp, s.user) for s in scheme.streams]
+    combined = greedy_exponent([(v, e) for v, e, _ in pairs])
+    interference = greedy_exponent([(v, e) for v, e, u in pairs if u != k])
+    return (combined - interference) / scheme.n
+
+
+def reference_evaluate_map(channel: ChannelMatrix, tim_links) -> DecompositionResult:
+    tim_links = frozenset(tim_links)
+    tin_links = channel.link_set - tim_links
+    sub = tin_subchannel(channel, tin_links)
+    r = reference_tin_symmetric(sub)[1].r
+    tin_fractions = tuple(single_stream_gdof(sub, r))
+    tim_sol = tim_solve(TimTopology(channel.K, tim_links))
+    products = tuple(a * b for a, b in zip(tin_fractions, tim_sol.fractions))
+    scheme = Scheme(tim_sol.n, tuple(
+        Stream(u, tuple(map(Fraction, vector)), r[u])
+        for u in range(channel.K)
+        for vector in tim_sol.directions[u]
+    ))
+    verified = tuple(reference_user_gdof(scheme, channel, k) for k in range(channel.K))
+    return DecompositionResult(
+        map=DecompositionMap(tim_links, tin_links),
+        tin_fractions=tin_fractions,
+        tim_fractions=tim_sol.fractions,
+        products=products,
+        scheme=scheme,
+        verified=verified,
+        verdict=all(v >= p for v, p in zip(verified, products)),
+        tim_method=tim_sol.method,
+        power_exponents=r,
+    )
+
+
+def reference_search(channel: ChannelMatrix, budget: SearchBudget) -> SearchReport:
+    """Every candidate map evaluated in full; per verdict, the first result
+    of each verified tuple in mask order; the frontier is the passed
+    tuples that no other passed tuple dominates."""
+    links = channel.cross_links()
+    masks = candidate_masks(channel, budget)
+    passed, failed = {}, {}
+    for mask in masks:
+        result = reference_evaluate_map(channel, {l for b, l in enumerate(links) if mask >> b & 1})
+        (passed if result.verdict else failed).setdefault(result.verified, result)
+    frontier = [
+        result for tup, result in passed.items()
+        if not any(o != tup and all(a >= b for a, b in zip(o, tup)) for o in passed)
+    ]
+    return SearchReport(frontier, list(failed.values()), len(masks))
 
 
 # --- reference maximal independent sets: the library's earlier 2^m subset

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_channel
+from oracles import MIXED_CROSS, MIXED_DIAG, random_channel, reference_search
 from timtin import decomp, evaluator, tin
 from timtin.fixtures import BASELINE_TIM_LINKS
 from timtin.model import (
     ChannelMatrix,
     MapMismatch,
     WeightMismatch,
+    emit_scheme,
     validate_channel,
     validate_scheme,
 )
@@ -39,8 +40,13 @@ def test_split_is_lossless(network5):
 
 
 def test_split_rejects_wrong_map(network5):
-    # an absent link, a self link and a user out of range
-    for tim_links in ({(0, 2)}, {(0, 3), (1, 1)}, {(0, 3), (5, 0)}):
+    # an absent link, a self link and a user out of range, then links equal
+    # to the present cross link (0, 1) but not pairs of ints, which once
+    # passed split's subset test ((0.0, 1) became [[1.0, 2]] in a map file)
+    assert (0, 1) in network5.link_set
+    for tim_links in (
+        {(0, 2)}, {(0, 3), (1, 1)}, {(0, 3), (5, 0)}, {(0.0, 1)}, {(False, 1)}, {(0, 1.0)}
+    ):
         with pytest.raises(MapMismatch):
             decomp.split(network5, tim_links)
 
@@ -52,8 +58,9 @@ def test_all_links_to_tin_gives_empty_tim(network5):
 
 @pytest.mark.parametrize("links", [{(1.7, 0)}, {(True, 2)}, {(1.0, 0)}, {(0, 1, 2)}])
 def test_evaluate_map_rejects_non_int_tim_links(links, monkeypatch):
-    """split refuses what is not a present cross link, and TimTopology what
-    equals one without being a pair of ints, both before either solve."""
+    """evaluate_map refuses a link that is not a pair of ints (TimTopology's
+    ValueError) or not a present cross link (split's MapMismatch) before
+    either solve."""
     # such links used to be truncated: {(1.7, 0)} became {(1, 0)}, {(True, 2)} {(1, 2)}
     def solve(*args):
         raise AssertionError("solved a map with a bad link")
@@ -248,31 +255,32 @@ def test_search_results_in_mask_order(cap):
 def test_search_verifies_each_distinct_scheme_once(monkeypatch):
     """Maps that yield the same scheme share one synthesis and one
     verification: search synthesizes exactly the distinct schemes that
-    memo-less evaluation finds over every mask, and verifies each once."""
+    memo-less evaluation finds over every mask, and hands each to the
+    evaluator's integer verification once, right after synthesizing it."""
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
     distinct = {
         decomp.evaluate_map(cm, decomp._tim_links(links, mask)).scheme
         for mask in range(1 << len(links))
     }
-    synthesize, user_gdof = decomp.synthesize_scheme, evaluator.user_gdof
-    schemes, calls = [], []
+    synthesize, scaled_gdof = decomp.synthesize_scheme, evaluator.scaled_gdof
+    schemes, verified = [], []
 
     def record_scheme(*args):
         schemes.append(synthesize(*args))
         return schemes[-1]
 
-    def counted_user_gdof(*args):
-        calls.append(args)
-        return user_gdof(*args)
+    def record_verification(scheme, channel):
+        verified.append(scheme)
+        return scaled_gdof(scheme, channel)
 
     monkeypatch.setattr(decomp, "synthesize_scheme", record_scheme)
-    monkeypatch.setattr(evaluator, "user_gdof", counted_user_gdof)
+    monkeypatch.setattr(evaluator, "scaled_gdof", record_verification)
     decomp.search(cm)
     assert len(schemes) == len(set(schemes))  # no scheme is synthesized twice
     assert set(schemes) == distinct
     assert len(schemes) < 1 << len(links)  # some maps share a scheme
-    assert len(calls) == cm.K * len(schemes)
+    assert [id(s) for s in verified] == [id(s) for s in schemes]  # each verified once
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,6 +321,27 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
         if not any(o != tup and all(a >= b for a, b in zip(o, tup)) for o in passed)
     ]
     assert decomp.search(cm, budget).frontier == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.sampled_from([6, 3]), st.booleans())
+def test_search_equals_the_eager_fraction_reference(seed, K, cap, mixed):
+    """search's report, field by field and in order, with every scheme's
+    emitted text, equals the eager reference that builds every value of
+    every map as a Fraction: exhaustive while the cross links do not
+    exceed the cap (6 or 3), the threshold family beyond."""
+    rng = random.Random(seed)
+    options = {"diag_choices": MIXED_DIAG, "cross_choices": MIXED_CROSS} if mixed else {}
+    cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.5]), **options)
+    budget = decomp.SearchBudget(exhaustive_cap=cap)
+    got, want = decomp.search(cm, budget), reference_search(cm, budget)
+    assert got.evaluated == want.evaluated
+    for group, expected in ((got.frontier, want.frontier), (got.failed, want.failed)):
+        assert len(group) == len(expected)
+        for result, reference in zip(group, expected):
+            for field in fields(result):
+                assert getattr(result, field.name) == getattr(reference, field.name), field.name
+            assert emit_scheme(result.scheme) == emit_scheme(reference.scheme)
 
 
 QUARTERS = [Fraction(n, 4) for n in range(9)]
