@@ -43,6 +43,6 @@ from .model import (
     validate_scheme,
 )
 from .tim import TimSolution, TimTopology, build_graphs, tim_solve
-from .tin import TinSolution, single_level_gdof, tin_feasible, tin_symmetric
+from .tin import SymmetricTin, TinSolution, single_level_gdof, tin_feasible, tin_symmetric
 
 __version__ = "0.1.0"

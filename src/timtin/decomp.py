@@ -12,22 +12,27 @@ TIM block length and integer directions plus the TIN power exponents, so
 those values key the memo, and the same scheme on the same channel has
 the same GDoF tuple.
 
-Per map, the search stays on Python ints from the TIN potentials to the
-verdict: power exponents, single-level GDoF, products and verified
-tuples are (denominator, numerators) pairs reduced by their gcd, which
-are equal exactly when the values are.  Fractions are built only for
-what a result reports, once per distinct value in a search: each
-reported tuple is interned under its reduced pair, each distinct scheme
-is synthesized and verified once, and each distinct stream is built
-once, its Stream checking that the power exponent is at most 0 and the
-direction nonzero, while each Scheme checks its streams' length.  A map
-still builds its own DecompositionMap and DecompositionResult.
+A search hands each map to evaluate_map as its bitmask over the cross
+links, and the map stays one from the search to the verdict.  Per map,
+the work is the TIN solve and its single-level GDoF, on Python ints, the
+products and verdict as (denominator, numerators) pairs, and one
+DecompositionResult.  Everything else is built once per distinct value
+in a search: per receiver and distinct sub-mask of its links, the heard
+list of its TIN side and the alignment and conflict bits of its TIM side;
+per distinct (alignment, conflict) signature, the TimSolution; per
+distinct scheme, its synthesis, its verification and the Fractions of its
+verified tuple; per distinct stream, its Stream, keyed on ints.  A
+result's map, TIN fractions, products and power exponents are built from
+its integers when they are first read, so a search builds them only for
+the results a caller reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -46,12 +51,13 @@ from .model import (
 from .tim import TimSolution, TimTopology, tim_solve
 
 
-# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.1 ms each (the
-# 5-user reference network on a 2-vCPU VM; more users cost more) is
-# already ~2 minutes.
+# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.07 ms each (the
+# 5-user reference network's 2,048 maps in 142-175 ms, best of 12
+# in-process searches on a 2-vCPU VM; more users cost more) is already
+# over a minute.
 # Exhaustive masks are a lazy range; the search keeps one result per
-# distinct verified tuple, one memo entry per distinct scheme and one per
-# distinct TIM graph pair, so its memory grows with those counts, not
+# distinct verified tuple, one memo entry per distinct scheme, TIM graph
+# pair and receiver sub-mask, so its memory grows with those counts, not
 # with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
@@ -70,17 +76,37 @@ class SearchBudget:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
-    map: DecompositionMap
-    tin_fractions: tuple[Fraction, ...]
-    tim_fractions: tuple[Fraction, ...]
-    products: tuple[Fraction, ...]
+    """One map's outcome.  ``verdict``, ``verified`` and ``scheme`` are
+    computed with it, and ``tim_fractions`` and ``tim_method`` are its
+    TimSolution's.  ``map``, ``tin_fractions``, ``products`` and
+    ``power_exponents`` are built from ``ints`` on first read, as
+    TinSolution.r is.  Two results are equal when all FIELDS are."""
+
+    FIELDS = (
+        "map", "tin_fractions", "tim_fractions", "products", "scheme", "verified", "verdict",
+        "tim_method", "power_exponents",
+    )
+
     scheme: Scheme
     verified: tuple[Fraction, ...]
     verdict: bool
+    tim_fractions: tuple[Fraction, ...]
     tim_method: str
-    power_exponents: tuple[Fraction, ...]
+    # the channel, its cross links and the map's bitmask over them, and the
+    # map's single-level GDoF, products and power exponents as
+    # (denominator, numerators) pairs
+    ints: tuple = field(repr=False)
+
+    map = cached_property(lambda r: split(r.ints[0], _tim_links(*r.ints[1:3])))
+    tin_fractions = cached_property(lambda r: _as_fractions(r.ints[3]))
+    products = cached_property(lambda r: _as_fractions(r.ints[4]))
+    power_exponents = cached_property(lambda r: _as_fractions(r.ints[5]))
+
+    def __eq__(self, other):
+        same = isinstance(other, DecompositionResult)
+        return same and all(getattr(self, n) == getattr(other, n) for n in self.FIELDS)
 
 
 class SearchReport(NamedTuple):
@@ -93,21 +119,16 @@ class SearchReport(NamedTuple):
     evaluated: int
 
 
-def split(
-    channel: ChannelMatrix, tim_links: Iterable[tuple[int, int]] | TimTopology
-) -> DecompositionMap:
+def split(channel: ChannelMatrix, tim_links: Iterable[tuple[int, int]]) -> DecompositionMap:
     """The map that sends ``tim_links`` to the TIM component and every other
     present cross link to the TIN component (treated as noise).  A link
     that is not a pair of ints equal to a present cross link of the
     channel, such as an absent or a self link or (1.0, 0), is a
-    MapMismatch.  The links may come as a TimTopology, which has checked
-    each one's type."""
-    if not isinstance(tim_links, TimTopology):
-        try:
-            tim_links = TimTopology(channel.K, tim_links)
-        except ValueError as exc:
-            raise MapMismatch(str(exc)) from None
-    tim = tim_links.links
+    MapMismatch: TimTopology checks each one's type."""
+    try:
+        tim = TimTopology(channel.K, tim_links).links
+    except ValueError as exc:
+        raise MapMismatch(str(exc)) from None
     if not tim <= channel.link_set:
         extra = sorted(tim - channel.link_set)
         raise MapMismatch(f"links {extra} are not present cross links of the channel")
@@ -115,67 +136,124 @@ def split(
 
 
 def synthesize_scheme(
-    power_exponents: Sequence[Fraction], tim_sol: TimSolution, interned: dict | None = None
+    power: tuple[int, Sequence[int]], tim_sol: TimSolution, interned: dict | None = None
 ) -> Scheme:
     """Combine the two component solutions into one explicit scheme: each
-    user sends one stream per assigned direction, all at its power-level
-    exponent (the fraction lives in the dimension count, not the power).
-    The Scheme checks each stream: a power exponent at most 0 and a
-    nonzero direction of the block length.  Streams are shared through
-    ``interned`` as Scheme.from_rows describes."""
-    users = enumerate(zip(power_exponents, tim_sol.directions))
-    streams = ((user, vector, power) for user, (power, vectors) in users for vector in vectors)
+    user u sends one stream per assigned direction, all at its power-level
+    exponent R[u] / M for ``power`` (M, R) (the fraction lives in the
+    dimension count, not the power).  The Scheme checks each stream: a
+    power exponent at most 0 and a nonzero direction of the block length.
+    Streams are shared through ``interned`` as Scheme.from_rows describes,
+    under each exponent in lowest terms."""
+    M, R = power
+    exponents = [(P // gcd(P, M), M // gcd(P, M)) for P in R]
+    users = enumerate(tim_sol.directions)
+    streams = ((u, vector, *exponents[u]) for u, vectors in users for vector in vectors)
     return Scheme.from_rows(tim_sol.n, streams, interned)
+
+
+class _Caches:
+    """What evaluate_map derives from one channel's cross links, kept in
+    the memo under (K, link set) and filled per distinct value seen, never
+    as an eager 2^links table.  Per receiver k, ``receivers[k]`` holds the
+    shift and width of its links' bits in a map bitmask, its transmitters
+    in ascending order, and the dict that maps each sub-mask of its links
+    (bit b for its b-th transmitter) that go to TIM to the heard tuple of
+    the rest, as Heard.of orders it, and the signature bits of k's
+    alignment pairs (a, b), bit a * K + b, and conflict edges {k, j}, bit
+    K * K + min * K + max.  ``tim`` maps a map's signature, the OR over
+    receivers, to its TimSolution and the canonical TimSolution of that
+    (n, directions), which ``canonical`` holds."""
+
+    def __init__(self, channel: ChannelMatrix):
+        self.K, self.links, self.tim, self.canonical = channel.K, channel.cross_links(), {}, {}
+        self.receivers = []
+        for k in range(self.K):
+            js = [j for r, j in self.links if r == k]
+            self.receivers.append((sum(r < k for r, _ in self.links), (1 << len(js)) - 1, js, {}))
+
+    def view(self, k: int, sub: int) -> tuple[tuple[int, ...], int]:
+        K, (_, _, js, views) = self.K, self.receivers[k]
+        tim = [j for b, j in enumerate(js) if sub >> b & 1]
+        bits = sum(1 << a * K + b for a, b in combinations(tim, 2))
+        bits += sum(1 << K * K + min(k, j) * K + max(k, j) for j in tim)
+        return views.setdefault(sub, (tuple(j for j in js if j not in tim), bits))
 
 
 def evaluate_map(
     channel: ChannelMatrix,
-    tim_links: Iterable[tuple[int, int]],
+    tim_links: Iterable[tuple[int, int]] | int,
     memo: dict | None = None,
     verifications: dict | None = None,
 ) -> DecompositionResult:
-    """Solve both components of the decomposition that sends ``tim_links``
-    to the TIM component (see split), synthesize the combined scheme, and
-    verify the per-user products on the original channel.
-    ``memo`` is handed to tim_solve as its solution and coloring memo.
-    ``verifications`` holds what depends only on distinct values, so that
-    search, which passes one dict per call, computes each once per search:
-    keyed by (block length, TIM directions, reduced power exponents), the
-    synthesized scheme and its verified tuple; keyed by a reduced
-    (denominator, numerators) pair, the tuple of Fractions a result
-    reports; and keyed by a (user, direction, power exponent) triple, the
-    scheme's Stream.  Per map, everything from the TIN potentials to the
-    verdict stays on ints."""
+    """Solve both components of one map, synthesize the combined scheme,
+    and verify the per-user products on the original channel.
+
+    The map comes as its bitmask over ``channel.cross_links()`` (bit b set
+    sends link b to TIM), as search passes it, or as its TIM link set,
+    which split checks and which is then turned into its bitmask: both run
+    one integer core.  A bad link, a bool, a negative mask or a mask of
+    2^L or more is a MapMismatch, raised before any solve.
+
+    What is built where:
+    - per map: the TIN solve on the map's heard lists and its single-level
+      GDoF, the products and the verdict on ints, and the result;
+    - per distinct value, in ``memo``, which tim_solve also takes as its
+      solution and coloring memo: the _Caches of the channel's cross links
+      (per receiver sub-mask, its heard tuple and signature bits; per
+      signature, the TimSolution), under (K, link set);
+    - per distinct value, in ``verifications``: keyed by the id of the
+      canonical TimSolution of (n, directions) and the reduced power
+      exponents, the synthesized scheme and its verified tuple, each
+      entry holding that TimSolution so the id stays its own; keyed by a
+      reduced (denominator, numerators) pair, the verified Fractions, one
+      tuple object per value; keyed by an int quadruple, each Stream;
+    - per read: the result's map, tin_fractions, products and
+      power_exponents.
+    """
+    memo = {} if memo is None else memo
     verifications = {} if verifications is None else verifications
-    topology = TimTopology(channel.K, tim_links)  # a bad link fails before any solve
-    dmap = split(channel, topology)
-    heard = tin.Heard.of(channel, dmap.tin_links)  # shared by every TIN solve of this map
-    _, tin_sol = tin.tin_symmetric(channel, heard)
+    at, mask = (channel.K, channel.link_set), tim_links
+    caches = memo.get(at) or memo.setdefault(at, _Caches(channel))
+    if not isinstance(mask, int):
+        tim = split(channel, mask).tim_links
+        mask = sum(1 << b for b, link in enumerate(caches.links) if link in tim)
+    elif type(mask) is bool or not 0 <= mask < 1 << len(caches.links):
+        raise MapMismatch(f"map bitmask {mask!r} is not in 0..2^{len(caches.links)} - 1")
+    views, signature = [], 0
+    for k, (shift, width, _, cached) in enumerate(caches.receivers):
+        sub = mask >> shift & width
+        view = cached.get(sub) or caches.view(k, sub)
+        views.append(view[0])
+        signature |= view[1]
+    heard = tin.Heard(views)  # shared by every TIN solve of this map
+    tin_sol = tin.tin_symmetric(channel, heard).solution
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
     power = tin_sol.scale, tin_sol.potentials  # reduced, as a TinSolution holds them
     D, N = tin.single_level_scaled(channel, *power, heard)
-    tim_sol = tim_solve(topology, memo)
+    solved = caches.tim.get(signature)
+    if solved is None:
+        tim_sol = tim_solve(TimTopology(channel.K, _tim_links(caches.links, mask)), memo)
+        canonical = caches.canonical.setdefault((tim_sol.n, tim_sol.directions), tim_sol)
+        solved = caches.tim[signature] = tim_sol, canonical
+    tim_sol, canonical = solved
     B, F = tim_sol.scaled_fractions
-    products = _reduced(D * B, [x * y for x, y in zip(N, F)])
-    key = (tim_sol.n, tim_sol.directions, power)
+    products = D * B, [x * y for x, y in zip(N, F)]
+    key = id(canonical), power
     verification = verifications.get(key)
-    power_exponents = _fractions(verifications, power)
     if verification is None:
-        scheme = synthesize_scheme(power_exponents, tim_sol, verifications)
+        scheme = synthesize_scheme(power, tim_sol, verifications)
         verified = _reduced(*evaluator.scaled_gdof(scheme, channel))
-        verification = verifications[key] = scheme, verified, _fractions(verifications, verified)
-    scheme, verified, verified_fractions = verification
+        # one Fraction tuple per verified value, so equal tuples are one object
+        fractions = verifications.get(verified) or verifications.setdefault(
+            verified, _as_fractions(verified)
+        )
+        verification = verifications[key] = canonical, scheme, verified, fractions
+    _, scheme, verified, verified_fractions = verification
     return DecompositionResult(
-        map=dmap,
-        tin_fractions=_fractions(verifications, _reduced(D, N)),
-        tim_fractions=tim_sol.fractions,
-        products=_fractions(verifications, products),
-        scheme=scheme,
-        verified=verified_fractions,
-        verdict=_dominates(verified, products),
-        tim_method=tim_sol.method,
-        power_exponents=power_exponents,
+        scheme, verified_fractions, _dominates(verified, products), tim_sol.fractions,
+        tim_sol.method, (channel, caches.links, mask, (D, N), products, power),
     )
 
 
@@ -186,13 +264,10 @@ def _reduced(D: int, N: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return (D, tuple(N)) if g == 1 else (D // g, tuple([x // g for x in N]))
 
 
-def _fractions(interned: dict, values: tuple[int, tuple[int, ...]]) -> tuple[Fraction, ...]:
-    """The Fractions of reduced values (D, N), built once per dict."""
-    fractions = interned.get(values)
-    if fractions is None:
-        D, N = values
-        fractions = interned[values] = tuple(Fraction(x, D) for x in N)
-    return fractions
+def _as_fractions(values: tuple[int, Sequence[int]]) -> tuple[Fraction, ...]:
+    """The values N[k] / D of (D, N) as Fractions."""
+    D, N = values
+    return tuple(Fraction(x, D) for x in N)
 
 
 def _dominates(a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]) -> bool:
@@ -228,18 +303,17 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
     results (so that synthesis defects stay visible) and the number of
     maps evaluated."""
     budget = budget or SearchBudget()
-    links = channel.cross_links()
     # candidate_masks ascends and each verified tuple keeps the first result
     # seen, so both dicts (insertion-ordered) are already in mask order.
-    # evaluate_map interns the tuples in verifications, so equal tuples are
-    # one object, and its id keys them.
+    # evaluate_map interns the verified tuples in verifications, so equal
+    # tuples are one object, and its id keys them.
     passed, failed = {}, {}
-    # TIM graph pairs and subproblems repeat across maps, and so do schemes
-    # and reported values.
+    # Receiver sub-masks, TIM graph pairs and subproblems repeat across
+    # maps, and so do schemes and verified tuples.
     memo, verifications = {}, {}
     masks = candidate_masks(channel, budget)
     for mask in masks:
-        result = evaluate_map(channel, _tim_links(links, mask), memo, verifications)
+        result = evaluate_map(channel, mask, memo, verifications)
         (passed if result.verdict else failed).setdefault(id(result.verified), result)
     # A dominator has a strictly larger sum and dominance is transitive, so
     # in descending-sum order each tuple need only be tested against the

@@ -290,19 +290,21 @@ class Scheme:
 
     @classmethod
     def from_rows(cls, n: int, streams: Iterable[tuple], interned: dict | None = None) -> Scheme:
-        """A scheme from (user, integer direction, power exponent) triples.
-        Each stream's vector holds the direction as Fractions, and ``rows``
-        keeps the integers as given: integer_row of an integer vector is
-        that vector.  Equal triples give one Stream, built and checked once:
-        within the call, and across the calls that pass one ``interned``
-        dict, which the triples key."""
+        """A scheme from (user, integer direction, P, Q) quadruples, the
+        stream's power exponent being P / Q.  Each stream's vector holds the
+        direction as Fractions, and ``rows`` keeps the integers as given:
+        integer_row of an integer vector is that vector.  Equal quadruples
+        give one Stream, built and checked once: within the call, and across
+        the calls that pass one ``interned`` dict, which the quadruples key,
+        so that no Fraction is hashed."""
         interned = {} if interned is None else interned
-        triples = list(streams)
-        for triple in triples:
-            if triple not in interned:
-                interned[triple] = Stream(*triple)
-        scheme = cls(n, tuple(map(interned.__getitem__, triples)))
-        scheme.__dict__["rows"] = tuple(row for _, row, _ in triples)  # the cached_property's slot
+        quads = list(streams)
+        for quad in quads:
+            if quad not in interned:
+                user, row, P, Q = quad
+                interned[quad] = Stream(user, row, Fraction(P, Q))
+        scheme = cls(n, tuple(map(interned.__getitem__, quads)))
+        scheme.__dict__["rows"] = tuple(quad[1] for quad in quads)  # the cached_property's slot
         return scheme
 
     @cached_property

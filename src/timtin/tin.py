@@ -31,9 +31,9 @@ pair (C, m) of t = C / (m * S).  A TinSolution keeps tin_feasible's
 integer potentials or cycle, over m * S reduced by their gcd, and builds
 its Fraction views (r, negative_cycle) only when they are read;
 single_level_scaled takes and returns numerators over one denominator,
-and single_level_gdof wraps it.  So a decomposition search, which solves
-every map, builds one Fraction per map here, tin_symmetric's t, and
-none per distinct value.
+and single_level_gdof wraps it.  tin_symmetric's SymmetricTin likewise
+keeps t as (C, m * S) and builds its Fraction on first read, so a
+decomposition search, which solves every map, builds no Fraction here.
 Every solver reads its links as per-receiver heard lists (``Heard``); a
 caller that solves one link set several times, as a decomposition search
 does for each map, builds them once and passes them in place of the links.
@@ -83,6 +83,24 @@ class TinSolution:
     def negative_cycle(self) -> tuple[Edge, ...] | None:
         if self.cycle is not None:
             return tuple((u, v, Fraction(w, self.scale)) for u, v, w in self.cycle)
+
+
+@dataclass(frozen=True)
+class SymmetricTin:
+    """tin_symmetric's outcome: the optimum t = C / M and the solution
+    feasible at it.  ``t`` is built on first read; the record unpacks as
+    the pair (t, solution)."""
+
+    C: int
+    M: int
+    solution: TinSolution
+
+    @cached_property
+    def t(self) -> Fraction:
+        return Fraction(self.C, self.M)
+
+    def __iter__(self):
+        return iter((self.t, self.solution))
 
 
 class Heard(tuple):
@@ -215,7 +233,7 @@ def tin_feasible(
 
 def tin_symmetric(
     channel: ChannelMatrix, links: Links | Heard | None = None
-) -> tuple[Fraction, TinSolution]:
+) -> SymmetricTin:
     """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible
     with the interference of ``links`` treated as noise.
 
@@ -245,7 +263,7 @@ def tin_symmetric(
     while True:
         sol = tin_feasible(channel, Scaled(m, (C,) * K), heard)
         if sol.feasible:
-            return Fraction(C, m * S), sol
+            return SymmetricTin(C, m * S, sol)
         # Edges leaving user u cost S * (a_uu - a_uv), or S * a_uu into the
         # anchor; edges leaving the anchor cost 0.
         user_edges = [(u, v) for u, v, _ in sol.cycle if u != K]

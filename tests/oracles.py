@@ -12,11 +12,11 @@ import math
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from timtin.decomp import DecompositionResult, SearchBudget, SearchReport, candidate_masks
+from timtin.decomp import SearchBudget, SearchReport, candidate_masks
 from timtin.model import (
     ChannelMatrix, DecompositionMap, InvariantViolation, NumericalFailure, Scheme, Stream,
     to_fraction,
@@ -276,7 +276,22 @@ def reference_user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> Fract
     return (combined - interference) / scheme.n
 
 
-def reference_evaluate_map(channel: ChannelMatrix, tim_links) -> DecompositionResult:
+class ReferenceResult(NamedTuple):
+    """A map's result with every field built eagerly, under the library
+    record's public field names (DecompositionResult.FIELDS)."""
+
+    map: DecompositionMap
+    tin_fractions: tuple
+    tim_fractions: tuple
+    products: tuple
+    scheme: Scheme
+    verified: tuple
+    verdict: bool
+    tim_method: str
+    power_exponents: tuple
+
+
+def reference_evaluate_map(channel: ChannelMatrix, tim_links) -> ReferenceResult:
     tim_links = frozenset(tim_links)
     tin_links = channel.link_set - tim_links
     sub = tin_subchannel(channel, tin_links)
@@ -290,7 +305,7 @@ def reference_evaluate_map(channel: ChannelMatrix, tim_links) -> DecompositionRe
         for vector in tim_sol.directions[u]
     ))
     verified = tuple(reference_user_gdof(scheme, channel, k) for k in range(channel.K))
-    return DecompositionResult(
+    return ReferenceResult(
         map=DecompositionMap(tim_links, tin_links),
         tin_fractions=tin_fractions,
         tim_fractions=tim_sol.fractions,

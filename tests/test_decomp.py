@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,12 @@ from timtin.model import (
     validate_scheme,
 )
 from timtin.tim import TimTopology, tim_solve
+
+# a result's public fields, in the order of its decompose document
+FIELDS = (
+    "map", "tin_fractions", "tim_fractions", "products", "scheme", "verified", "verdict",
+    "tim_method", "power_exponents",
+)
 
 
 def test_split_reference_components(network5):
@@ -297,8 +302,97 @@ def test_shared_memos_match_memo_less_evaluation(seed):
         tim_links = decomp._tim_links(links, mask)
         shared = decomp.evaluate_map(cm, tim_links, memo, verifications)
         alone = decomp.evaluate_map(cm, tim_links)
-        for field in fields(shared):
-            assert getattr(shared, field.name) == getattr(alone, field.name), (field.name, mask)
+        for name in FIELDS:
+            assert getattr(shared, name) == getattr(alone, name), (name, mask)
+    assert decomp.DecompositionResult.FIELDS == FIELDS
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([6, 3]), st.booleans())
+def test_mask_and_link_set_evaluations_agree(seed, cap, mixed):
+    """evaluate_map on a map's bitmask and on its TIM link set returns,
+    field by field, the same result, with shared memos (one pair per input
+    form, as a search passes them) and without, exhaustive up to the cap
+    and the threshold family beyond it."""
+    rng = random.Random(seed)
+    K = rng.randint(1, 4)
+    options = {"diag_choices": MIXED_DIAG, "cross_choices": MIXED_CROSS} if mixed else {}
+    cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]), **options)
+    links = cm.cross_links()
+    by_mask, by_links = ({}, {}), ({}, {})
+    for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=cap)):
+        tim_links = decomp._tim_links(links, mask)
+        results = [
+            decomp.evaluate_map(cm, mask, *by_mask),
+            decomp.evaluate_map(cm, tim_links, *by_links),
+            decomp.evaluate_map(cm, mask),
+            decomp.evaluate_map(cm, tim_links),
+        ]
+        assert results[0].map.tim_links == tim_links
+        for name in FIELDS:
+            assert len({repr(getattr(r, name)) for r in results}) == 1, (name, mask)
+        assert results[1:] == results[:-1]
+
+
+@pytest.mark.parametrize("mask", [True, False, -1, 1 << 11, 1 << 40])
+def test_evaluate_map_rejects_a_mask_outside_the_maps(network5, mask, monkeypatch):
+    """A map bitmask is an int in 0..2^L - 1 (L = 11 here); a bool, a
+    negative mask or one of 2^L or more is a MapMismatch before any solve."""
+    def solve(*args):
+        raise AssertionError("solved a map with a bad mask")
+
+    monkeypatch.setattr(tin, "tin_symmetric", solve)
+    monkeypatch.setattr(decomp, "tim_solve", solve)
+    with pytest.raises(MapMismatch):
+        decomp.evaluate_map(network5, mask)
+
+
+def test_threshold_search_caches_only_the_sub_masks_it_sees(monkeypatch):
+    """A threshold-mode search whose receiver 0 hears 20 transmitters fills
+    each receiver's sub-mask cache with one entry per distinct sub-mask
+    of its links among the masks evaluated, not a 2^20 table."""
+    K = 21
+    alpha = [["1" if k == i else "0" for i in range(K)] for k in range(K)]
+    alpha[0][1:] = [["1/4", "1/2", "3/4"][i % 3] for i in range(K - 1)]
+    cm = validate_channel(alpha)
+    evaluate, calls = decomp.evaluate_map, []
+
+    def recorded(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(decomp, "evaluate_map", recorded)
+    report = decomp.search(cm, decomp.SearchBudget(exhaustive_cap=3))
+    masks, memo = [mask for _, mask, _, _ in calls], calls[0][2]
+    assert report.evaluated == len(masks) < 100 and all(c[2] is memo for c in calls)
+    caches = memo[K, cm.link_set]
+    assert caches.receivers[0][:2] == (0, (1 << 20) - 1)  # receiver 0 holds every link
+    for shift, width, _, views in caches.receivers:
+        assert set(views) == {mask >> shift & width for mask in masks}
+    assert len(caches.tim) <= len(set(masks))
+
+
+def test_a_search_hashes_no_fraction(network5, monkeypatch):
+    """After a warm-up search, a fixture5 search hashes no Fraction, its
+    Streams being interned on ints, and builds at most 6,183: none per map,
+    as tin_symmetric's t and the results' lazy fields are never read."""
+    decomp.search(network5)
+    counts = {"__new__": 0, "__hash__": 0}
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(Fraction, name, counted(name))
+    decomp.search(network5)
+    monkeypatch.undo()
+    assert counts["__hash__"] == 0 and counts["__new__"] <= 6183, counts
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,8 +433,8 @@ def test_search_equals_the_eager_fraction_reference(seed, K, cap, mixed):
     for group, expected in ((got.frontier, want.frontier), (got.failed, want.failed)):
         assert len(group) == len(expected)
         for result, reference in zip(group, expected):
-            for field in fields(result):
-                assert getattr(result, field.name) == getattr(reference, field.name), field.name
+            for name in FIELDS:
+                assert getattr(result, name) == getattr(reference, name), name
             assert emit_scheme(result.scheme) == emit_scheme(reference.scheme)
 
 

@@ -217,16 +217,17 @@ def test_scheme_round_trip(data):
 
 
 def test_scheme_from_rows_equals_the_stream_built_scheme():
-    triples = [
-        (0, (1, 0, 3), Fraction(-1, 2)),
-        (1, (0, 1, -2), Fraction(0)),
-        (0, (0, 0, 1), Fraction(-1, 2)),
-    ]
-    built = Scheme.from_rows(3, triples)
-    expected = Scheme(3, tuple(Stream(u, row, p) for u, row, p in triples))
+    quads = [(0, (1, 0, 3), -1, 2), (1, (0, 1, -2), 0, 1), (0, (0, 0, 1), -2, 4)]
+    interned = {}
+    built = Scheme.from_rows(3, quads, interned)
+    expected = Scheme(3, tuple(Stream(u, row, Fraction(p, q)) for u, row, p, q in quads))
     assert built == expected and repr(built) == repr(expected)
     assert all(type(c) is Fraction for s in built.streams for c in s.vector)
-    assert built.rows == expected.rows == tuple(row for _, row, _ in triples)
+    assert built.rows == expected.rows == tuple(row for _, row, _, _ in quads)
+    # the intern is keyed on ints alone, one Stream per distinct quadruple
+    assert list(interned) == quads
+    assert all(type(x) is int for _, row, p, q in interned for x in (*row, p, q))
+    assert Scheme.from_rows(3, quads[:1], interned).streams[0] is built.streams[0]
     assert built.users == (0, 1, 0)
     assert built.scaled_powers == (2, (-1, 0, -1))
 

@@ -50,6 +50,14 @@ def test_reference_reduced_component_symmetric():
     assert sol.r == (0, Fraction(-1, 6), 0, Fraction(-1, 6), Fraction(-1, 3))
 
 
+def test_symmetric_optimum_is_built_on_first_read():
+    cm, links = tin_component(BASELINE_TIM_LINKS)
+    sym = tin_symmetric(cm, links)
+    assert "t" not in vars(sym)  # no Fraction until t is read
+    d, sol = sym
+    assert d is sym.t == Fraction(3, 5) and sol is sym.solution
+
+
 def test_single_user_symmetric():
     d, sol = tin_symmetric(validate_channel([["1"]]))
     assert d == 1 and sol.r == (0,)
@@ -120,8 +128,8 @@ def test_monotonicity_in_links_and_strengths():
     with_link = validate_channel([["1", "0.5", "0.5"], ["0", "1", "0"], ["0", "0.5", "1"]])
     stronger = validate_channel([["1", "0", "0.9"], ["0", "1", "0"], ["0", "0.5", "1"]])
     d0, _ = tin_symmetric(base)
-    assert tin_symmetric(with_link)[0] <= d0
-    assert tin_symmetric(stronger)[0] <= d0
+    assert tin_symmetric(with_link).t <= d0
+    assert tin_symmetric(stronger).t <= d0
 
 
 @settings(max_examples=30, deadline=None)
