@@ -41,13 +41,13 @@ def main():
         print("  [" + ", ".join(f"{format_rational(a):>4}" for a in row) + "]")
     print()
 
-    base = decomp.evaluate_map(network, BASELINE_TIM_LINKS)
+    base = decomp.evaluate_map(network, decomp.map_mask(network, BASELINE_TIM_LINKS))
     show("strong links avoided, weak links absorbed (baseline)", base)
     slopes = slope_estimate(base.scheme, network, 1e6, 1e10)
     print(f"  finite-power slope check: {[round(s, 3) for s in slopes]}")
     print()
 
-    moved = decomp.evaluate_map(network, IMPROVED_TIM_LINKS)
+    moved = decomp.evaluate_map(network, decomp.map_mask(network, IMPROVED_TIM_LINKS))
     show("one medium link moved to the vector-space side", moved)
     print()
 

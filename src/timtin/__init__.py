@@ -6,6 +6,7 @@ from .decomp import (
     SearchBudget,
     SearchReport,
     evaluate_map,
+    map_mask,
     search,
     split,
     synthesize_scheme,

@@ -102,20 +102,21 @@ def _cmd_oracle(args) -> dict:
 
 def _cmd_tin(args) -> dict:
     channel = _load_topology(args.topology)
+    heard = tin.Heard.of(channel)
     if args.target is not None:
         if len(args.target) != channel.K:
             raise DomainError(f"expected {channel.K} targets, got {len(args.target)}")
-        solution = tin.tin_feasible(channel, args.target)
+        solution = tin.tin_feasible(channel, tin.Scaled.of(channel, args.target), heard)
         return {
             "target": _fractions(args.target),
             "feasible": solution.feasible,
             "r": _fractions(solution.r) if solution.feasible else None,
         }
-    d_sym, solution = tin.tin_symmetric(channel)
+    sym = tin.tin_symmetric(channel, heard)
     return {
-        "d_sym": format_rational(d_sym),
-        "feasible": solution.feasible,
-        "r": _fractions(solution.r),
+        "d_sym": format_rational(sym.t),
+        "feasible": sym.solution.feasible,
+        "r": _fractions(sym.solution.r),
     }
 
 

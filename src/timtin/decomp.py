@@ -9,22 +9,23 @@ GDoF falls short of its product is reported with verdict=False rather
 than dropped.  Within one search, maps that yield the same scheme share
 one synthesis and one verification: a scheme is fully determined by the
 TIM block length and integer directions plus the TIN power exponents, so
-those values key the memo, and the same scheme on the same channel has
+those values key the cache, and the same scheme on the same channel has
 the same GDoF tuple.
 
-A search hands each map to evaluate_map as its bitmask over the cross
-links, and the map stays one from the search to the verdict.  Per map,
-the work is the TIN solve and its single-level GDoF, on Python ints, the
-products and verdict as (denominator, numerators) pairs, and one
-DecompositionResult.  Everything else is built once per distinct value
-in a search: per receiver and distinct sub-mask of its links, the heard
-list of its TIN side and the alignment and conflict bits of its TIM side;
-per distinct (alignment, conflict) signature, the TimSolution; per
-distinct scheme, its synthesis, its verification and the Fractions of its
-verified tuple; per distinct stream, its Stream, keyed on ints.  A
-result's map, TIN fractions, products and power exponents are built from
-its integers when they are first read, so a search builds them only for
-the results a caller reads.
+A map is its bitmask over the channel's cross links, from the search to
+the verdict; map_mask is the one place where a TIM link set becomes one.
+Per map, the work is the TIN solve and its single-level GDoF, on Python
+ints, the products and verdict as (denominator, numerators) pairs, and
+one DecompositionResult.  Everything else is built once per distinct
+value in a search and kept in one _Caches bound to the channel: per
+receiver and distinct sub-mask of its links, the heard list of its TIN
+side and the alignment and conflict bits of its TIM side; per distinct
+(alignment, conflict) signature, the TimSolution; per distinct conflict
+component, its fractional coloring; per distinct scheme, its synthesis,
+its verification and the Fractions of its verified tuple; per distinct
+stream, its Stream, keyed on ints.  A result's map, TIN fractions,
+products and power exponents are built from its integers when they are
+first read, so a search builds them only for the results a caller reads.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ from .tim import TimSolution, TimTopology, tim_solve
 # in-process searches on a 2-vCPU VM; more users cost more) is already
 # over a minute.
 # Exhaustive masks are a lazy range; the search keeps one result per
-# distinct verified tuple, one memo entry per distinct scheme, TIM graph
-# pair and receiver sub-mask, so its memory grows with those counts, not
-# with 2^L.
+# distinct verified tuple, and its _Caches one entry per distinct scheme,
+# verified tuple, stream, TIM graph pair, conflict component and receiver
+# sub-mask, so its memory grows with those counts, not with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
 
@@ -135,6 +136,13 @@ def split(channel: ChannelMatrix, tim_links: Iterable[tuple[int, int]]) -> Decom
     return DecompositionMap(tim, channel.link_set - tim)
 
 
+def map_mask(channel: ChannelMatrix, tim_links: Iterable[tuple[int, int]]) -> int:
+    """The bitmask over ``channel.cross_links()`` of the map whose TIM side
+    is ``tim_links``, as evaluate_map takes it; split checks the links."""
+    tim = split(channel, tim_links).tim_links
+    return sum(1 << b for b, link in enumerate(channel.cross_links()) if link in tim)
+
+
 def synthesize_scheme(
     power: tuple[int, Sequence[int]], tim_sol: TimSolution, interned: dict | None = None
 ) -> Scheme:
@@ -153,20 +161,32 @@ def synthesize_scheme(
 
 
 class _Caches:
-    """What evaluate_map derives from one channel's cross links, kept in
-    the memo under (K, link set) and filled per distinct value seen, never
-    as an eager 2^links table.  Per receiver k, ``receivers[k]`` holds the
-    shift and width of its links' bits in a map bitmask, its transmitters
-    in ascending order, and the dict that maps each sub-mask of its links
-    (bit b for its b-th transmitter) that go to TIM to the heard tuple of
-    the rest, as Heard.of orders it, and the signature bits of k's
-    alignment pairs (a, b), bit a * K + b, and conflict edges {k, j}, bit
-    K * K + min * K + max.  ``tim`` maps a map's signature, the OR over
-    receivers, to its TimSolution and the canonical TimSolution of that
-    (n, directions), which ``canonical`` holds."""
+    """What evaluate_map derives from ``channel``, filled per distinct value
+    seen, never as an eager 2^links table.  One search builds one and
+    passes it with every map; evaluate_map refuses one built for another
+    channel.
+
+    - ``receivers[k]``: the shift and width of receiver k's links' bits in
+      a map bitmask, its transmitters in ascending order, and the dict
+      that maps each sub-mask of its links (bit b for its b-th
+      transmitter) that go to TIM to the heard tuple of the rest, as
+      Heard.of orders it, and the signature bits of k's alignment pairs
+      (a, b), bit a * K + b, and conflict edges {k, j}, bit K * K + min *
+      K + max;
+    - ``tim``: a map's signature, the OR over receivers, to its TimSolution
+      and the canonical TimSolution of its (n, directions), which
+      ``canonical`` holds;
+    - ``colorings``: tim_solve's coloring memo;
+    - ``verified``: keyed by the id of a canonical TimSolution and the
+      reduced power exponents, the synthesized scheme and its verified
+      tuple, each entry holding that TimSolution so the id stays its own;
+    - ``interned``: keyed by a reduced (denominator, numerators) pair, the
+      verified Fractions, one tuple object per value; keyed by an int
+      quadruple, each Stream (see Scheme.from_rows)."""
 
     def __init__(self, channel: ChannelMatrix):
-        self.K, self.links, self.tim, self.canonical = channel.K, channel.cross_links(), {}, {}
+        self.channel, self.K, self.links = channel, channel.K, channel.cross_links()
+        self.tim, self.canonical, self.colorings, self.verified, self.interned = {}, {}, {}, {}, {}
         self.receivers = []
         for k in range(self.K):
             js = [j for r, j in self.links if r == k]
@@ -181,44 +201,30 @@ class _Caches:
 
 
 def evaluate_map(
-    channel: ChannelMatrix,
-    tim_links: Iterable[tuple[int, int]] | int,
-    memo: dict | None = None,
-    verifications: dict | None = None,
+    channel: ChannelMatrix, mask: int, caches: _Caches | None = None
 ) -> DecompositionResult:
     """Solve both components of one map, synthesize the combined scheme,
     and verify the per-user products on the original channel.
 
-    The map comes as its bitmask over ``channel.cross_links()`` (bit b set
-    sends link b to TIM), as search passes it, or as its TIM link set,
-    which split checks and which is then turned into its bitmask: both run
-    one integer core.  A bad link, a bool, a negative mask or a mask of
-    2^L or more is a MapMismatch, raised before any solve.
+    The map is its bitmask over ``channel.cross_links()`` (bit b set sends
+    link b to TIM; map_mask gives it for a TIM link set).  A mask that is
+    not an int in 0..2^L - 1 (a bool is not), or ``caches`` built for
+    another channel, is a MapMismatch, raised before any solve.
 
     What is built where:
     - per map: the TIN solve on the map's heard lists and its single-level
       GDoF, the products and the verdict on ints, and the result;
-    - per distinct value, in ``memo``, which tim_solve also takes as its
-      solution and coloring memo: the _Caches of the channel's cross links
-      (per receiver sub-mask, its heard tuple and signature bits; per
-      signature, the TimSolution), under (K, link set);
-    - per distinct value, in ``verifications``: keyed by the id of the
-      canonical TimSolution of (n, directions) and the reduced power
-      exponents, the synthesized scheme and its verified tuple, each
-      entry holding that TimSolution so the id stays its own; keyed by a
-      reduced (denominator, numerators) pair, the verified Fractions, one
-      tuple object per value; keyed by an int quadruple, each Stream;
+    - per distinct value, in ``caches`` (a fresh _Caches when None): the
+      heard tuple and signature bits of each receiver sub-mask, the
+      TimSolution of each signature, each coloring, each scheme with its
+      verification, and the Fractions of each verified tuple;
     - per read: the result's map, tin_fractions, products and
       power_exponents.
     """
-    memo = {} if memo is None else memo
-    verifications = {} if verifications is None else verifications
-    at, mask = (channel.K, channel.link_set), tim_links
-    caches = memo.get(at) or memo.setdefault(at, _Caches(channel))
-    if not isinstance(mask, int):
-        tim = split(channel, mask).tim_links
-        mask = sum(1 << b for b, link in enumerate(caches.links) if link in tim)
-    elif type(mask) is bool or not 0 <= mask < 1 << len(caches.links):
+    caches = _Caches(channel) if caches is None else caches
+    if caches.channel != channel:
+        raise MapMismatch("the caches were built for another channel")
+    if type(mask) is not int or not 0 <= mask < 1 << len(caches.links):
         raise MapMismatch(f"map bitmask {mask!r} is not in 0..2^{len(caches.links)} - 1")
     views, signature = [], 0
     for k, (shift, width, _, cached) in enumerate(caches.receivers):
@@ -226,30 +232,27 @@ def evaluate_map(
         view = cached.get(sub) or caches.view(k, sub)
         views.append(view[0])
         signature |= view[1]
-    heard = tin.Heard(views)  # shared by every TIN solve of this map
-    tin_sol = tin.tin_symmetric(channel, heard).solution
+    tin_sol = tin.tin_symmetric(channel, views).solution  # views are the map's heard lists
     # The canonical (componentwise-maximal) exponents may exceed the
     # symmetric objective for slack users; report what they actually give.
     power = tin_sol.scale, tin_sol.potentials  # reduced, as a TinSolution holds them
-    D, N = tin.single_level_scaled(channel, *power, heard)
+    D, N = tin.single_level_scaled(channel, *power, views)
     solved = caches.tim.get(signature)
     if solved is None:
-        tim_sol = tim_solve(TimTopology(channel.K, _tim_links(caches.links, mask)), memo)
+        tim_sol = tim_solve(TimTopology(channel.K, _tim_links(caches.links, mask)), caches.colorings)
         canonical = caches.canonical.setdefault((tim_sol.n, tim_sol.directions), tim_sol)
         solved = caches.tim[signature] = tim_sol, canonical
     tim_sol, canonical = solved
     B, F = tim_sol.scaled_fractions
     products = D * B, [x * y for x, y in zip(N, F)]
-    key = id(canonical), power
-    verification = verifications.get(key)
+    key, interned = (id(canonical), power), caches.interned
+    verification = caches.verified.get(key)
     if verification is None:
-        scheme = synthesize_scheme(power, tim_sol, verifications)
+        scheme = synthesize_scheme(power, tim_sol, interned)
         verified = _reduced(*evaluator.scaled_gdof(scheme, channel))
         # one Fraction tuple per verified value, so equal tuples are one object
-        fractions = verifications.get(verified) or verifications.setdefault(
-            verified, _as_fractions(verified)
-        )
-        verification = verifications[key] = canonical, scheme, verified, fractions
+        fractions = interned.get(verified) or interned.setdefault(verified, _as_fractions(verified))
+        verification = caches.verified[key] = canonical, scheme, verified, fractions
     _, scheme, verified, verified_fractions = verification
     return DecompositionResult(
         scheme, verified_fractions, _dominates(verified, products), tim_sol.fractions,
@@ -305,15 +308,15 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
     budget = budget or SearchBudget()
     # candidate_masks ascends and each verified tuple keeps the first result
     # seen, so both dicts (insertion-ordered) are already in mask order.
-    # evaluate_map interns the verified tuples in verifications, so equal
+    # evaluate_map interns the verified tuples in the caches, so equal
     # tuples are one object, and its id keys them.
     passed, failed = {}, {}
     # Receiver sub-masks, TIM graph pairs and subproblems repeat across
     # maps, and so do schemes and verified tuples.
-    memo, verifications = {}, {}
+    caches = _Caches(channel)
     masks = candidate_masks(channel, budget)
     for mask in masks:
-        result = evaluate_map(channel, mask, memo, verifications)
+        result = evaluate_map(channel, mask, caches)
         (passed if result.verdict else failed).setdefault(id(result.verified), result)
     # A dominator has a strictly larger sum and dominance is transitive, so
     # in descending-sum order each tuple need only be tested against the

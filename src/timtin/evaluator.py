@@ -43,7 +43,6 @@ from .model import (
     NumericalFailure,
     Scheme,
     UserGdof,
-    integer_row,
 )
 
 if TYPE_CHECKING:
@@ -60,20 +59,19 @@ MAX_ORACLE_POWER = 1e12
 MAX_ORACLE_BLOCK = 64
 MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
 _MAX_COORDINATE_EXACT = Fraction(MAX_ORACLE_COORDINATE)  # what a Fraction compares against
-_INT = frozenset({int})
 
 
-def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fraction | int:
+def logdet_exponent(pairs: Sequence[tuple[Sequence[int], Fraction | int]]) -> Fraction | int:
     """High-power exponent of log det(I + sum_i P^{e_i} v_i v_i^T).
 
-    ``pairs`` are (v_i, e_i).  Pairs with e_i < 0 sit below the unit noise
-    floor and are skipped.  The rest are sorted by exponent descending and
-    kept greedily iff linearly independent of the pairs already kept; the
-    result is the sum of kept exponents, so integer exponents (as the
-    evaluator passes) give an integer.  Greedy on a linear matroid with
-    sorted weights maximizes the sum, so the order among equal exponents
-    never changes the value.  A vector with a non-integer coordinate enters
-    the rank test as its integer_row.
+    ``pairs`` are (v_i, e_i), each v_i a row of ints (a rational direction
+    enters as its integer_row, which spans the same line).  Pairs with
+    e_i < 0 sit below the unit noise floor and are skipped.  The rest are
+    sorted by exponent descending and kept greedily iff linearly
+    independent of the pairs already kept; the result is the sum of kept
+    exponents, so integer exponents (as the evaluator passes) give an
+    integer.  Greedy on a linear matroid with sorted weights maximizes the
+    sum, so the order among equal exponents never changes the value.
     """
     if not pairs:
         return 0
@@ -87,8 +85,7 @@ def logdet_exponent(pairs: Sequence[tuple[Sequence, Fraction | int]]) -> Fractio
     ordered = sorted([p for p in pairs if p[1] >= 0], key=itemgetter(1), reverse=True)
     basis: list[tuple[Sequence[int], int]] = []  # gcd-reduced integer echelon rows, pivots
     total = 0 * pairs[0][1]  # zero of the exponents' type
-    for vector, exponent in ordered:
-        v = vector if {*map(type, vector)} == _INT else integer_row(vector)
+    for v, exponent in ordered:
         for row, j in basis:
             c = v[j]
             if c:

@@ -24,10 +24,11 @@ triangles (19 users, 730 sets; 22 users, 2,188 sets) takes 0.54 s and
 3^(m/3) (Moon and Moser), so a higher user limit would have to bound the
 set count as well.
 
-The solution depends on the topology only through K and the two graphs,
-so a caller-supplied memo (one per decomposition search) solves each
-distinct (K, alignment, conflict) once, and reuses fractional colorings
-of equal conflict components across distinct graph pairs.
+The solution depends on the topology only through K and the two graphs.
+A caller that solves many related topologies (a decomposition search)
+keeps its own cache of solutions by graph pair, and passes tim_solve a
+coloring memo, so equal conflict components share one fractional
+coloring across distinct graph pairs.
 
 Every solution carries an explicit vector assignment so the evaluator can
 certify the claimed fractions on the binary channel.  Its directions are
@@ -199,23 +200,12 @@ def _basis_vector(n: int, j: int) -> tuple[int, ...]:
 def tim_solve(topo: TimTopology, memo: dict | None = None) -> TimSolution:
     """Per-user signal-space fractions with a certifiable vector assignment.
 
-    ``memo`` carries work across calls; a caller solving many related
-    topologies (one decomposition search) passes one dict to all.  It
-    holds whole solutions, keyed by (K, alignment, conflict), which
-    determine the solution, and fractional_coloring results, keyed by a
-    component's members and its conflict edges.  Topologies with equal
-    graphs share one (frozen) TimSolution.
+    ``memo`` is the coloring memo: fractional_coloring results, keyed by a
+    component's members and its conflict edges.  A caller solving many
+    related topologies (one decomposition search) passes one dict to all.
     """
     memo = {} if memo is None else memo
-    alignment, conflict = build_graphs(topo)
-    key = (topo.K, alignment, conflict)
-    solution = memo.get(key)
-    if solution is None:
-        solution = memo[key] = _solve_graphs(topo.K, alignment, conflict, memo)
-    return solution
-
-
-def _solve_graphs(K: int, alignment, conflict, memo: dict) -> TimSolution:
+    K, (alignment, conflict) = topo.K, build_graphs(topo)
     conf_adj = _adjacency(K, conflict)
     align_adj = _adjacency(K, alignment)
     active = [u for u in range(K) if conf_adj[u]]

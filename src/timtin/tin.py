@@ -8,7 +8,7 @@ treating everything as noise always yields at least zero).  The system is
 decided by negative-cycle detection on the constraint graph; shortest-path
 potentials from the zero anchor are the componentwise-maximal feasible
 exponents.  Each solver takes the channel and the cross links treated as
-noise (default: all present ones); other cross links are ignored.
+noise, as per-receiver heard lists (``Heard``).
 
 For the symmetric target (t, ..., t) every edge leaving a user node
 weighs a constant minus t, so a cycle with cost c (its weight at t = 0)
@@ -34,11 +34,12 @@ single_level_scaled takes and returns numerators over one denominator,
 and single_level_gdof wraps it.  tin_symmetric's SymmetricTin likewise
 keeps t as (C, m * S) and builds its Fraction on first read, so a
 decomposition search, which solves every map, builds no Fraction here.
-Every solver reads its links as per-receiver heard lists (``Heard``); a
-caller that solves one link set several times, as a decomposition search
-does for each map, builds them once and passes them in place of the links.
-Likewise tin_feasible reads its targets as ``Scaled`` (m, D), which
-Dinkelbach passes it directly, so its steps build no Fraction targets.
+
+Each solver takes one input form.  The links come as heard lists, which a
+decomposition search builds once per receiver sub-mask and passes to
+every solve of a map; tin_feasible's targets come as ``Scaled`` (m, D),
+which Dinkelbach passes it directly.  ``Heard.of`` and ``Scaled.of`` are
+the only places where a link set or Fraction targets become solver input.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .model import ChannelMatrix, InvariantViolation, over_lcm, to_fraction
 # Constraint edges are (u, v, w) meaning r_v - r_u <= w; node K is the
 # anchor pinned to 0.
 Edge = tuple[int, int, Fraction]
-Links = AbstractSet[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ class TinSolution:
 @dataclass(frozen=True)
 class SymmetricTin:
     """tin_symmetric's outcome: the optimum t = C / M and the solution
-    feasible at it.  ``t`` is built on first read; the record unpacks as
-    the pair (t, solution)."""
+    feasible at it.  ``t`` is built on first read."""
 
     C: int
     M: int
@@ -99,74 +98,64 @@ class SymmetricTin:
     def t(self) -> Fraction:
         return Fraction(self.C, self.M)
 
-    def __iter__(self):
-        return iter((self.t, self.solution))
 
+class Heard:
+    """Heard lists, a link set as the solvers read it: per receiver k, the
+    ascending transmitters j of the present cross links (k, j) treated as
+    noise.  Any sequence of such sequences will do; ``of`` builds them."""
 
-class Heard(tuple):
-    """Per receiver k, the ascending transmitters j of the present cross
-    links (k, j) treated as noise: a link set as the solvers read it.
-    Every solver takes one in place of ``links``."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, channel: ChannelMatrix, links: Links | None = None) -> Heard:
+    @staticmethod
+    def of(channel: ChannelMatrix, links: AbstractSet | None = None) -> tuple[tuple[int, ...], ...]:
         """The heard lists of the present cross links in links (all when None)."""
         present = channel.link_set if links is None else channel.link_set.intersection(links)
         heard: list[list[int]] = [[] for _ in range(channel.K)]
         for k, j in sorted(present):  # edge order decides which negative cycle is found
             heard[k].append(j)
-        return cls(map(tuple, heard))
-
-
-def _heard(channel: ChannelMatrix, links: Links | Heard | None) -> Heard:
-    return links if isinstance(links, Heard) else Heard.of(channel, links)
+        return tuple(map(tuple, heard))
 
 
 class Scaled(NamedTuple):
     """Targets d_k = D[k] / (m * S), S the channel's scale: a target tuple
-    as the solvers read it.  tin_feasible takes one in place of targets."""
+    as tin_feasible reads it."""
 
     m: int
     D: tuple[int, ...]
 
-
-def _scaled(channel: ChannelMatrix, targets: Sequence | Scaled) -> Scaled:
-    if not isinstance(targets, Scaled):
+    @classmethod
+    def of(cls, channel: ChannelMatrix, targets: Sequence) -> Scaled:
+        """Number-like targets, one per user and each nonnegative, as a Scaled."""
         m, N = over_lcm([to_fraction(t) for t in targets])
-        targets = Scaled(m, tuple(x * channel.scale for x in N))
-    if len(targets.D) != channel.K:
-        raise ValueError(f"expected {channel.K} targets, got {len(targets.D)}")
-    if min(targets.D) < 0:  # K >= 1
-        raise ValueError("targets must be nonnegative")
-    return targets
+        if len(N) != channel.K:
+            raise ValueError(f"expected {channel.K} targets, got {len(N)}")
+        if min(N) < 0:  # K >= 1
+            raise ValueError("targets must be nonnegative")
+        return cls(m, tuple(x * channel.scale for x in N))
 
 
 def single_level_gdof(
-    channel: ChannelMatrix, r: Sequence[Fraction], links: Links | Heard | None = None
+    channel: ChannelMatrix, r: Sequence[Fraction], heard: Sequence[Sequence[int]]
 ) -> tuple[Fraction, ...]:
     """GDoF tuple of the one-stream-per-user, single-use scheme with power
-    exponents r, treating the interference of ``links`` as noise."""
-    D, N = single_level_scaled(channel, *over_lcm(r), links)
+    exponents r, treating the interference of the ``heard`` links as noise."""
+    D, N = single_level_scaled(channel, *over_lcm(r), heard)
     return tuple(Fraction(x, D) for x in N)
 
 
 def single_level_scaled(
-    channel: ChannelMatrix, M: int, R: Sequence[int], links: Links | Heard | None = None
+    channel: ChannelMatrix, M: int, R: Sequence[int], heard: Sequence[Sequence[int]]
 ) -> tuple[int, tuple[int, ...]]:
     """single_level_gdof on integers: for power exponents R[k] / M, the
     GDoF tuple as (D, N), the values N[k] / D over D = lcm(M, S)."""
     D = lcm(M, channel.scale)
     a, p = D // channel.scale, D // M
     N = []
-    for k, (row, heard) in enumerate(zip(channel.scaled, _heard(channel, links))):
-        noise = max([0, *[a * row[j] + p * R[j] for j in heard]])
+    for k, (row, js) in enumerate(zip(channel.scaled, heard)):
+        noise = max([0, *[a * row[j] + p * R[j] for j in js]])
         N.append(max(0, a * row[k] + p * R[k] - noise))
     return D, tuple(N)
 
 
-def _edges(channel: ChannelMatrix, heard: Heard, m: int, D: Sequence[int]):
+def _edges(channel: ChannelMatrix, heard: Sequence[Sequence[int]], m: int, D: Sequence[int]):
     K, A = channel.K, channel.scaled
     edges = [(K, k, 0) for k in range(K)]  # r_k <= 0
     for k, js in enumerate(heard):
@@ -214,14 +203,13 @@ def _bellman_ford(K: int, edges):
 
 
 def tin_feasible(
-    channel: ChannelMatrix, targets: Sequence | Scaled, links: Links | Heard | None = None
+    channel: ChannelMatrix, targets: Scaled, heard: Sequence[Sequence[int]]
 ) -> TinSolution:
     """Decide whether the target GDoF tuple is achievable by power control
-    with the interference of ``links`` treated as noise.  The targets may
-    come as a ``Scaled`` and the links as a ``Heard``."""
+    with the interference of the ``heard`` links treated as noise."""
     K, S = channel.K, channel.scale
-    m, D = _scaled(channel, targets)
-    dist, cycle = _bellman_ford(K, _edges(channel, _heard(channel, links), m, D))
+    m, D = targets
+    dist, cycle = _bellman_ford(K, _edges(channel, heard, m, D))
     if cycle is not None:
         g = gcd(m * S, *(w for _, _, w in cycle))
         return TinSolution(False, None, tuple((u, v, w // g) for u, v, w in cycle), m * S // g)
@@ -231,11 +219,9 @@ def tin_feasible(
     return TinSolution(True, tuple(x // g for x in dist[:K]), None, m * S // g)
 
 
-def tin_symmetric(
-    channel: ChannelMatrix, links: Links | Heard | None = None
-) -> SymmetricTin:
+def tin_symmetric(channel: ChannelMatrix, heard: Sequence[Sequence[int]]) -> SymmetricTin:
     """Maximal t such that the symmetric tuple (t, ..., t) is TIN-feasible
-    with the interference of ``links`` treated as noise.
+    with the interference of the ``heard`` links treated as noise.
 
     Dinkelbach iteration on the constraint graph: start at the smallest
     ratio of the one- and two-user cycles (see the module docstring),
@@ -247,7 +233,6 @@ def tin_symmetric(
     at most t, so it is negative at every larger target.
     """
     K, S, A = channel.K, channel.scale, channel.scaled
-    heard = _heard(channel, links)
     # Start ratios as C / (2S).  A link (k, j) closes through (j, k) when
     # that is a link too (A_jk > 0 makes it the tighter cycle), else
     # through the anchor.

@@ -16,9 +16,9 @@ def network5():
 
 @pytest.fixture(scope="session")
 def baseline_result(network5):
-    return decomp.evaluate_map(network5, BASELINE_TIM_LINKS)
+    return decomp.evaluate_map(network5, decomp.map_mask(network5, BASELINE_TIM_LINKS))
 
 
 @pytest.fixture(scope="session")
 def improved_result(network5):
-    return decomp.evaluate_map(network5, IMPROVED_TIM_LINKS)
+    return decomp.evaluate_map(network5, decomp.map_mask(network5, IMPROVED_TIM_LINKS))

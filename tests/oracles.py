@@ -19,7 +19,7 @@ import numpy as np
 from timtin.decomp import SearchBudget, SearchReport, candidate_masks
 from timtin.model import (
     ChannelMatrix, DecompositionMap, InvariantViolation, NumericalFailure, Scheme, Stream,
-    to_fraction,
+    integer_row, to_fraction,
 )
 from timtin.tim import TimTopology, tim_solve
 from timtin.tin import Edge, TinSolution
@@ -65,6 +65,48 @@ def max_weight_independent_sum(pairs) -> Fraction:
                 if total > best:
                     best = total
     return best
+
+
+def integer_pairs(pairs):
+    """(vector, exponent) pairs with each vector as its integer_row, the
+    form logdet_exponent takes."""
+    return [(integer_row(vector), exponent) for vector, exponent in pairs]
+
+
+def pairwise_region(alpha) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Rows (coefficients c, bound b), each meaning sum_k c[k] d_k <= b, that
+    every achievable GDoF tuple d of the channel with strengths ``alpha``
+    satisfies: per pair of users, the two-user deterministic region of
+    Bresler and Tse (2008), achievable once a genie gives both receivers
+    every other user's message.  With n_ij the strength from transmitter i
+    at receiver j (alpha[j][i]), a pair (i, j) bounds d_i <= n_ii,
+    d_i + d_j by (n_ii - n_ij)+ + max(n_jj, n_ij) (and swapped) and by
+    max(n_ji, (n_ii - n_ij)+) + max(n_ij, (n_jj - n_ji)+), and 2 d_i + d_j
+    by max(n_ii, n_ji) + (n_ii - n_ij)+ + max(n_ij, (n_jj - n_ji)+) (and
+    swapped).  The max(n_jj, n_ij) keeps the region valid when a cross
+    strength exceeds a direct one, where n_jj alone would cut off
+    achievable tuples."""
+    K = len(alpha)
+    n = lambda i, j: Fraction(alpha[j][i])  # transmitter i at receiver j
+    pos = lambda x: max(x, Fraction(0))
+
+    def row(coefficients: dict, bound) -> tuple[tuple[int, ...], Fraction]:
+        return tuple(coefficients.get(k, 0) for k in range(K)), bound
+
+    rows = [row({i: 1}, n(i, i)) for i in range(K)]
+    for i, j in itertools.permutations(range(K), 2):
+        rows.append(row({i: 1, j: 1}, pos(n(i, i) - n(i, j)) + max(n(j, j), n(i, j))))
+        rows.append(row({i: 2, j: 1}, max(n(i, i), n(j, i)) + pos(n(i, i) - n(i, j))
+                        + max(n(i, j), pos(n(j, j) - n(j, i)))))
+        if i < j:
+            rows.append(row({i: 1, j: 1}, max(n(j, i), pos(n(i, i) - n(i, j)))
+                            + max(n(i, j), pos(n(j, j) - n(j, i)))))
+    return rows
+
+
+def inside_region(rows, d) -> bool:
+    """Whether the tuple d meets every row of a pairwise_region."""
+    return all(sum(c * x for c, x in zip(coefficients, d)) <= bound for coefficients, bound in rows)
 
 
 def single_stream_gdof(channel: ChannelMatrix, r) -> list[Fraction]:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from oracles import (
     grid_tin_feasible,
+    integer_pairs,
     max_weight_independent_sum,
     random_weighted_vectors,
     single_stream_gdof,
@@ -36,7 +37,7 @@ def _report(number: int, description: str, ok: bool, elapsed: float | None = Non
 def test_criterion_1_tin_symmetric_value(network5):
     start = time.perf_counter()
     tin_links = decomp.split(network5, BASELINE_TIM_LINKS).tin_links
-    d_sym, _ = tin.tin_symmetric(network5, tin_links)
+    d_sym = tin.tin_symmetric(network5, tin.Heard.of(network5, tin_links)).t
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -66,8 +67,8 @@ def test_criterion_2_tim_half_rate_values(network5):
 
 def test_criterion_3_products_and_search(network5):
     start = time.perf_counter()
-    base = decomp.evaluate_map(network5, BASELINE_TIM_LINKS)
-    moved = decomp.evaluate_map(network5, IMPROVED_TIM_LINKS)
+    base = decomp.evaluate_map(network5, decomp.map_mask(network5, BASELINE_TIM_LINKS))
+    moved = decomp.evaluate_map(network5, decomp.map_mask(network5, IMPROVED_TIM_LINKS))
     frontier = decomp.search(network5).frontier  # exhaustive: 2^11 maps
     elapsed = time.perf_counter() - start
     ok = (
@@ -106,7 +107,7 @@ def test_criterion_5_greedy_equals_brute_force():
     ok = True
     for _ in range(500):
         raw = random_weighted_vectors(rng, max_m=8, max_n=4)
-        ok &= logdet_exponent(raw) == max_weight_independent_sum(raw)
+        ok &= logdet_exponent(integer_pairs(raw)) == max_weight_independent_sum(raw)
     elapsed = time.perf_counter() - start
     _report(5, "greedy exponent sum = brute force on 500 instances", ok and elapsed < 30, elapsed)
 
@@ -201,7 +202,8 @@ def test_criterion_9_feasibility_matches_grid_search():
             cross_prob=0.7,
         )
         targets = [max(Fraction(0), Fraction(rng.randint(0, 12), 20) - eps) for _ in range(K)]
-        fast = tin.tin_feasible(channel, targets).feasible
+        heard = tin.Heard.of(channel)
+        fast = tin.tin_feasible(channel, tin.Scaled.of(channel, targets), heard).feasible
         slow = grid_tin_feasible(channel, targets)
         disagreements += fast != slow
     elapsed = time.perf_counter() - start

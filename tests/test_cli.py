@@ -28,7 +28,7 @@ def files(tmp_path_factory):
     network = five_user_network()
     topo = root / "topo.json"
     topo.write_text(emit_topology(network))
-    result = decomp.evaluate_map(network, BASELINE_TIM_LINKS)
+    result = decomp.evaluate_map(network, decomp.map_mask(network, BASELINE_TIM_LINKS))
     scheme = root / "scheme.json"
     scheme.write_text(emit_scheme(result.scheme))
     tiny_topo = root / "tiny.json"

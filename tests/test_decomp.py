@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MIXED_CROSS, MIXED_DIAG, random_channel, reference_search
+from oracles import (
+    MIXED_CROSS,
+    MIXED_DIAG,
+    inside_region,
+    pairwise_region,
+    random_channel,
+    reference_search,
+)
 from timtin import decomp, evaluator, tin
 from timtin.fixtures import BASELINE_TIM_LINKS
 from timtin.model import (
@@ -63,9 +70,9 @@ def test_all_links_to_tin_gives_empty_tim(network5):
 
 @pytest.mark.parametrize("links", [{(1.7, 0)}, {(True, 2)}, {(1.0, 0)}, {(0, 1, 2)}])
 def test_evaluate_map_rejects_non_int_tim_links(links, monkeypatch):
-    """evaluate_map refuses a link that is not a pair of ints (TimTopology's
-    ValueError) or not a present cross link (split's MapMismatch) before
-    either solve."""
+    """map_mask, the one way from a TIM link set to evaluate_map, refuses a
+    link that is not a pair of ints (TimTopology's ValueError) or not a
+    present cross link (split's MapMismatch) before either solve."""
     # such links used to be truncated: {(1.7, 0)} became {(1, 0)}, {(True, 2)} {(1, 2)}
     def solve(*args):
         raise AssertionError("solved a map with a bad link")
@@ -74,7 +81,7 @@ def test_evaluate_map_rejects_non_int_tim_links(links, monkeypatch):
     monkeypatch.setattr(decomp, "tim_solve", solve)
     cm = validate_channel([["1", "1", "1"], ["1", "1", "1"], ["1", "1", "1"]])
     with pytest.raises((MapMismatch, ValueError)):
-        decomp.evaluate_map(cm, links)
+        decomp.evaluate_map(cm, decomp.map_mask(cm, links))
 
 
 def test_baseline_map_products(baseline_result):
@@ -125,7 +132,7 @@ def test_improved_scheme_shape(improved_result):
 
 def test_interference_free_channel_products():
     cm = validate_channel([["1", "0"], ["0", "1.5"]])
-    result = decomp.evaluate_map(cm, frozenset())
+    result = decomp.evaluate_map(cm, 0)
     assert result.tin_fractions == (1, Fraction(3, 2))
     assert result.tim_fractions == (1, 1)
     assert result.products == (1, Fraction(3, 2))
@@ -135,7 +142,7 @@ def test_interference_free_channel_products():
 
 def test_single_user_trivial():
     cm = validate_channel([["1"]])
-    result = decomp.evaluate_map(cm, frozenset())
+    result = decomp.evaluate_map(cm, 0)
     assert result.scheme.n == 1
     assert result.scheme.streams[0].power_exp == 0
     assert result.verified == (1,)
@@ -148,7 +155,7 @@ def test_search_frontier_contains_improved_value(network5):
     assert all(r.verdict for r in report.frontier)
     assert max(min(r.verified) for r in report.frontier) >= Fraction(1, 3)
     # the naive strong-links-to-TIM split is strictly dominated
-    baseline = decomp.evaluate_map(network5, BASELINE_TIM_LINKS)
+    baseline = decomp.evaluate_map(network5, decomp.map_mask(network5, BASELINE_TIM_LINKS))
     assert min(baseline.verified) == Fraction(3, 10) < Fraction(1, 3)
 
 
@@ -247,7 +254,7 @@ def test_search_results_in_mask_order(cap):
     budget = decomp.SearchBudget(exhaustive_cap=cap)
     first_mask = {}
     for mask in decomp.candidate_masks(cm, budget):
-        verified = decomp.evaluate_map(cm, decomp._tim_links(links, mask)).verified
+        verified = decomp.evaluate_map(cm, mask).verified
         first_mask.setdefault(verified, mask)
     report = decomp.search(cm, budget)
     for group, verdict in ((report.frontier, True), (report.failed, False)):
@@ -264,10 +271,7 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
     evaluator's integer verification once, right after synthesizing it."""
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
-    distinct = {
-        decomp.evaluate_map(cm, decomp._tim_links(links, mask)).scheme
-        for mask in range(1 << len(links))
-    }
+    distinct = {decomp.evaluate_map(cm, mask).scheme for mask in range(1 << len(links))}
     synthesize, scaled_gdof = decomp.synthesize_scheme, evaluator.scaled_gdof
     schemes, verified = [], []
 
@@ -291,17 +295,15 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_shared_memos_match_memo_less_evaluation(seed):
-    """evaluate_map with one memo/verifications pair shared across
-    every mask returns, field by field, what it returns without memos."""
+    """evaluate_map with one _Caches shared across every mask returns,
+    field by field, what it returns with a fresh one."""
     rng = random.Random(seed)
     K = rng.randint(1, 4)
     cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]))
-    links = cm.cross_links()
-    memo, verifications = {}, {}
+    caches = decomp._Caches(cm)
     for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=6)):
-        tim_links = decomp._tim_links(links, mask)
-        shared = decomp.evaluate_map(cm, tim_links, memo, verifications)
-        alone = decomp.evaluate_map(cm, tim_links)
+        shared = decomp.evaluate_map(cm, mask, caches)
+        alone = decomp.evaluate_map(cm, mask)
         for name in FIELDS:
             assert getattr(shared, name) == getattr(alone, name), (name, mask)
     assert decomp.DecompositionResult.FIELDS == FIELDS
@@ -310,28 +312,39 @@ def test_shared_memos_match_memo_less_evaluation(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([6, 3]), st.booleans())
 def test_mask_and_link_set_evaluations_agree(seed, cap, mixed):
-    """evaluate_map on a map's bitmask and on its TIM link set returns,
-    field by field, the same result, with shared memos (one pair per input
-    form, as a search passes them) and without, exhaustive up to the cap
-    and the threshold family beyond it."""
+    """map_mask turns a map's TIM link set back into its bitmask, and
+    evaluate_map on that mask returns, field by field, the same result with
+    one shared _Caches (as a search passes it) and with a fresh one,
+    exhaustive up to the cap and the threshold family beyond it."""
     rng = random.Random(seed)
     K = rng.randint(1, 4)
     options = {"diag_choices": MIXED_DIAG, "cross_choices": MIXED_CROSS} if mixed else {}
     cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]), **options)
     links = cm.cross_links()
-    by_mask, by_links = ({}, {}), ({}, {})
+    caches = decomp._Caches(cm)
     for mask in decomp.candidate_masks(cm, decomp.SearchBudget(exhaustive_cap=cap)):
         tim_links = decomp._tim_links(links, mask)
-        results = [
-            decomp.evaluate_map(cm, mask, *by_mask),
-            decomp.evaluate_map(cm, tim_links, *by_links),
-            decomp.evaluate_map(cm, mask),
-            decomp.evaluate_map(cm, tim_links),
-        ]
+        assert decomp.map_mask(cm, tim_links) == mask
+        results = [decomp.evaluate_map(cm, mask, caches), decomp.evaluate_map(cm, mask)]
         assert results[0].map.tim_links == tim_links
         for name in FIELDS:
             assert len({repr(getattr(r, name)) for r in results}) == 1, (name, mask)
-        assert results[1:] == results[:-1]
+        assert results[0] == results[1]
+
+
+def test_caches_of_another_channel_are_a_map_mismatch():
+    """Two channels with the same cross links share no caches: evaluate_map
+    refuses one channel's _Caches for the other (sharing them once gave
+    the second channel the first one's verified tuple, (1/2, 1/2) here),
+    takes them for an equal channel, and alone gives each its own value."""
+    weak = validate_channel([["1", "1/2"], ["1/2", "1"]])
+    strong = validate_channel([["1", "9/10"], ["9/10", "1"]])
+    caches = decomp._Caches(weak)
+    assert decomp.evaluate_map(weak, 0, caches).verified == (Fraction(1, 2),) * 2
+    with pytest.raises(MapMismatch):
+        decomp.evaluate_map(strong, 0, caches)
+    assert decomp.evaluate_map(validate_channel(weak.alpha), 0, caches).verified == (Fraction(1, 2),) * 2
+    assert decomp.evaluate_map(strong, 0).verified == (Fraction(1, 10),) * 2
 
 
 @pytest.mark.parametrize("mask", [True, False, -1, 1 << 11, 1 << 40])
@@ -363,9 +376,8 @@ def test_threshold_search_caches_only_the_sub_masks_it_sees(monkeypatch):
 
     monkeypatch.setattr(decomp, "evaluate_map", recorded)
     report = decomp.search(cm, decomp.SearchBudget(exhaustive_cap=3))
-    masks, memo = [mask for _, mask, _, _ in calls], calls[0][2]
-    assert report.evaluated == len(masks) < 100 and all(c[2] is memo for c in calls)
-    caches = memo[K, cm.link_set]
+    masks, caches = [mask for _, mask, _ in calls], calls[0][2]
+    assert report.evaluated == len(masks) < 100 and all(c[2] is caches for c in calls)
     assert caches.receivers[0][:2] == (0, (1 << 20) - 1)  # receiver 0 holds every link
     for shift, width, _, views in caches.receivers:
         assert set(views) == {mask >> shift & width for mask in masks}
@@ -404,10 +416,9 @@ def test_frontier_equals_all_pairs_dominance_filter(seed):
     K = rng.randint(1, 4)
     cm = random_channel(rng, K, cross_prob=rng.choice([0.3, 0.6]))
     budget = decomp.SearchBudget(exhaustive_cap=6)
-    links = cm.cross_links()
     passed = {}
     for mask in decomp.candidate_masks(cm, budget):
-        result = decomp.evaluate_map(cm, decomp._tim_links(links, mask))
+        result = decomp.evaluate_map(cm, mask)
         if result.verdict:
             passed.setdefault(result.verified, result)
     expected = [
@@ -469,10 +480,47 @@ def test_no_verified_tuple_leaves_the_tin_region_where_tin_is_optimal(channel):
     a tuple outside would be an evaluator or synthesis defect."""
     report = decomp.search(channel)
     assert report.evaluated == 1 << len(channel.link_set)
+    heard = tin.Heard.of(channel)
+    feasible = lambda d: tin.tin_feasible(channel, tin.Scaled.of(channel, d), heard).feasible
     for result in report.frontier + report.failed:
-        assert tin.tin_feasible(channel, result.verified).feasible, result.verified
+        assert feasible(result.verified), result.verified
         if result.verdict:
-            assert tin.tin_feasible(channel, result.products).feasible, result.products
+            assert feasible(result.products), result.products
+
+
+STRENGTHS = [Fraction(n, 4) for n in range(1, 13)]  # quarters up to 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_every_verified_tuple_lies_in_every_pairwise_region(seed):
+    """An upper bound from outside the library: every tuple a search
+    verifies is achievable, so it lies in the two-user region of every pair
+    of users (oracles.pairwise_region).  K <= 4, direct and cross strengths
+    in quarters up to 3, so cross links above direct ones occur; exhaustive
+    up to 6 cross links, the threshold family beyond."""
+    rng = random.Random(seed)
+    K = rng.randint(1, 4)
+    cm = random_channel(rng, K, diag_choices=STRENGTHS, cross_choices=STRENGTHS,
+                        cross_prob=rng.choice([0.3, 0.6]))
+    report = decomp.search(cm, decomp.SearchBudget(exhaustive_cap=6))
+    rows = pairwise_region(cm.alpha)
+    for result in report.frontier + report.failed:
+        assert inside_region(rows, result.verified), (cm.alpha, result.verified)
+
+
+def test_strong_interference_z_channel_stays_in_its_pairwise_region():
+    """Transmitter 0 reaches receiver 1 at 3, above both direct strengths
+    (2 and 1).  The pair's sum bound is then (2 - 3)+ + max(1, 3) = 3; its
+    weak-interference form, n_11 = 1 in place of max(n_11, n_01), would cut
+    off the verified (2, 0), user 0 at its full direct strength."""
+    cm = validate_channel([["2", "0"], ["3", "1"]])
+    rows = pairwise_region(cm.alpha)
+    assert rows[:3] == [((1, 0), 2), ((0, 1), 1), ((1, 1), 3)]
+    report = decomp.search(cm)
+    verified = [r.verified for r in report.frontier + report.failed]
+    assert verified == [(2, 0), (1, Fraction(1, 2))]
+    assert all(inside_region(rows, v) for v in verified)
 
 
 def test_time_share_identity_and_mixing(baseline_result, improved_result):

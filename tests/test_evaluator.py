@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     MIXED_CROSS,
     MIXED_DIAG,
+    integer_pairs,
     max_weight_independent_sum,
     random_channel,
     random_scheme,
@@ -24,7 +25,7 @@ from timtin.evaluator import (
     logdet_exponent,
     user_gdof,
 )
-from timtin.model import DimensionMismatch, Scheme, Stream, validate_channel
+from timtin.model import DimensionMismatch, Scheme, Stream, integer_row, validate_channel
 
 
 def chain_rule_split(scheme, cm, k):
@@ -43,7 +44,7 @@ def chain_rule_split(scheme, cm, k):
 
 
 def wv(vec, exp):
-    return (tuple(Fraction(c) for c in vec), Fraction(exp))
+    return (integer_row([Fraction(c) for c in vec]), Fraction(exp))
 
 
 def pairs_from(raw):
@@ -94,7 +95,7 @@ def test_matches_brute_force_on_random_instances():
     rng = random.Random(7)
     for _ in range(100):
         raw = random_weighted_vectors(rng)
-        assert logdet_exponent(raw) == max_weight_independent_sum(raw)
+        assert logdet_exponent(integer_pairs(raw)) == max_weight_independent_sum(raw)
 
 
 def _rational_scheme(rng: random.Random, K: int) -> Scheme:
@@ -129,7 +130,7 @@ def test_rational_schemes_match_brute_force(seed):
             max_weight_independent_sum([p for i, p in enumerate(pairs) if i not in own[:l]])
             for l in range(len(own) + 1)
         ]
-        assert logdet_exponent(pairs) == exps[0]
+        assert logdet_exponent(integer_pairs(pairs)) == exps[0]
         u = user_gdof(scheme, cm, k)
         assert (u.combined_exp, u.interference_exp) == (exps[0], exps[-1])
         assert u.gdof == (exps[0] - exps[-1]) / scheme.n
@@ -222,7 +223,7 @@ def test_order_of_pairs_and_of_other_users_streams_is_irrelevant(seed):
     # so neither does the report when users' streams are interleaved
     # differently (each user's own decoding order kept)
     rng = random.Random(seed)
-    raw = random_weighted_vectors(rng)
+    raw = integer_pairs(random_weighted_vectors(rng))
     assert logdet_exponent(rng.sample(raw, len(raw))) == logdet_exponent(raw)
     K = rng.randint(1, 4)
     cm = random_channel(rng, K)
@@ -304,11 +305,11 @@ def test_single_stream_single_use_reduction(seed):
 INVARIANT_UNDER_O = """
 from timtin import evaluator
 from timtin.fixtures import BASELINE_TIM_LINKS, five_user_network
-from timtin.decomp import evaluate_map
+from timtin.decomp import evaluate_map, map_mask
 from timtin.model import InvariantViolation
 
 network = five_user_network()
-scheme = evaluate_map(network, BASELINE_TIM_LINKS).scheme
+scheme = evaluate_map(network, map_mask(network, BASELINE_TIM_LINKS)).scheme
 evaluator.logdet_exponent = lambda pairs: -len(pairs)  # more pairs, smaller exponent
 try:
     evaluator.user_gdof(scheme, network, 0)

@@ -8,7 +8,7 @@ recorded in ``GOLDEN``.  A refactor must leave every digest unchanged.
 
 ``MAP_GOLDEN`` pins every evaluated map, not only the frontier: for each
 network in it, the ``decompose`` document of ``decomp.evaluate_map`` on
-each candidate mask, in mask order, with one memo per network.
+each candidate mask, in mask order, with one ``_Caches`` per network.
 """
 
 import contextlib
@@ -106,12 +106,10 @@ MAP_GOLDEN = {
 def per_map_digest(channel, options) -> str:
     """sha256 over the result document of every candidate map, in mask order."""
     budget = decomp.SearchBudget(int(options[1])) if options else decomp.SearchBudget()
-    links = channel.cross_links()
-    memo, verifications = {}, {}
+    caches = decomp._Caches(channel)
     digest = hashlib.sha256()
     for mask in decomp.candidate_masks(channel, budget):
-        tim = frozenset(l for b, l in enumerate(links) if mask >> b & 1)
-        result = decomp.evaluate_map(channel, tim, memo, verifications)
+        result = decomp.evaluate_map(channel, mask, caches)
         digest.update(f"{mask}\n{dumps(cli._result_doc(result))}".encode())
     return digest.hexdigest()
 

@@ -43,7 +43,8 @@ def test_exact_commands_load_no_numpy_until_the_oracle(tmp_path, capsys):
     network = five_user_network()
     topo, scheme, report = tmp_path / "topo.json", tmp_path / "scheme.json", tmp_path / "report.json"
     topo.write_text(emit_topology(network))
-    scheme.write_text(emit_scheme(decomp.evaluate_map(network, BASELINE_TIM_LINKS).scheme))
+    baseline = decomp.evaluate_map(network, decomp.map_mask(network, BASELINE_TIM_LINKS))
+    scheme.write_text(emit_scheme(baseline.scheme))
     small = tmp_path / "small.json"
     small.write_text('{"K": 3, "alpha": [["1", "0.5", "0"], ["1", "1", "0.5"], ["0", "0.5", "1"]]}')
     assert cli.main(["decompose", "-t", str(small)]) == 0

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,14 +19,25 @@ from oracles import (
 from timtin import decomp, tin
 from timtin.fixtures import BASELINE_TIM_LINKS, IMPROVED_TIM_LINKS, five_user_network
 from timtin.model import validate_channel
-from timtin.tin import single_level_gdof, tin_feasible, tin_symmetric
+from timtin.tin import Heard, Scaled, single_level_gdof, tin_symmetric
 
 
 def tin_component(tim_links):
-    """The reference network and the TIN link set of the map whose TIM
-    side is ``tim_links``."""
+    """The reference network and the heard lists of the TIN side of the
+    map whose TIM side is ``tim_links``."""
     network = five_user_network()
-    return network, decomp.split(network, tim_links).tin_links
+    return network, Heard.of(network, decomp.split(network, tim_links).tin_links)
+
+
+def tin_feasible(cm, targets, heard=None):
+    """tin.tin_feasible on number-like targets, every link heard by default."""
+    return tin.tin_feasible(cm, Scaled.of(cm, targets), Heard.of(cm) if heard is None else heard)
+
+
+def symmetric(cm, heard=None):
+    """tin_symmetric's (t, solution), every link heard by default."""
+    sym = tin_symmetric(cm, Heard.of(cm) if heard is None else heard)
+    return sym.t, sym.solution
 
 
 def test_no_cross_links_full_targets_feasible():
@@ -36,7 +48,7 @@ def test_no_cross_links_full_targets_feasible():
 
 def test_reference_weak_component_symmetric():
     cm, links = tin_component(BASELINE_TIM_LINKS)
-    d, sol = tin_symmetric(cm, links)
+    d, sol = symmetric(cm, links)
     assert d == Fraction(3, 5)
     assert sol.r == (0, Fraction(-1, 10), Fraction(-1, 5), Fraction(-3, 10), Fraction(-2, 5))
     assert tin_feasible(cm, [Fraction(3, 5)] * 5, links).feasible
@@ -45,7 +57,7 @@ def test_reference_weak_component_symmetric():
 
 def test_reference_reduced_component_symmetric():
     cm, links = tin_component(IMPROVED_TIM_LINKS)
-    d, sol = tin_symmetric(cm, links)
+    d, sol = symmetric(cm, links)
     assert d == Fraction(2, 3)
     assert sol.r == (0, Fraction(-1, 6), 0, Fraction(-1, 6), Fraction(-1, 3))
 
@@ -54,12 +66,11 @@ def test_symmetric_optimum_is_built_on_first_read():
     cm, links = tin_component(BASELINE_TIM_LINKS)
     sym = tin_symmetric(cm, links)
     assert "t" not in vars(sym)  # no Fraction until t is read
-    d, sol = sym
-    assert d is sym.t == Fraction(3, 5) and sol is sym.solution
+    assert sym.t is sym.t == Fraction(3, 5) and sym.solution.feasible
 
 
 def test_single_user_symmetric():
-    d, sol = tin_symmetric(validate_channel([["1"]]))
+    d, sol = symmetric(validate_channel([["1"]]))
     assert d == 1 and sol.r == (0,)
 
 
@@ -68,7 +79,7 @@ def test_zero_targets_are_always_feasible():
     cm = validate_channel([["1", "2"], ["2", "1"]])
     assert tin_feasible(cm, [0, 0]).feasible
     assert not tin_feasible(cm, [Fraction(1, 100), Fraction(1, 100)]).feasible
-    d, _ = tin_symmetric(cm)
+    d, _ = symmetric(cm)
     assert d == 0
 
 
@@ -77,7 +88,7 @@ def test_zero_target_user_imposes_nothing():
     cm = validate_channel([["1", "3"], ["0.5", "1"]])
     sol = tin_feasible(cm, [0, 1])
     assert sol.feasible
-    achieved = single_level_gdof(cm, sol.r)
+    achieved = single_level_gdof(cm, sol.r, Heard.of(cm))
     assert achieved[1] >= 1
 
 
@@ -117,7 +128,7 @@ def test_symmetric_gap_contract():
     for _ in range(25):
         K = rng.randint(1, 4)
         cm = random_channel(rng, K)
-        d, sol = tin_symmetric(cm)
+        d, sol = symmetric(cm)
         assert sol.feasible
         assert tin_feasible(cm, [d] * K).feasible
         assert not tin_feasible(cm, [d + Fraction(1, 10**6)] * K).feasible
@@ -127,9 +138,9 @@ def test_monotonicity_in_links_and_strengths():
     base = validate_channel([["1", "0", "0.5"], ["0", "1", "0"], ["0", "0.5", "1"]])
     with_link = validate_channel([["1", "0.5", "0.5"], ["0", "1", "0"], ["0", "0.5", "1"]])
     stronger = validate_channel([["1", "0", "0.9"], ["0", "1", "0"], ["0", "0.5", "1"]])
-    d0, _ = tin_symmetric(base)
-    assert tin_symmetric(with_link).t <= d0
-    assert tin_symmetric(stronger).t <= d0
+    d0, _ = symmetric(base)
+    assert symmetric(with_link)[0] <= d0
+    assert symmetric(stronger)[0] <= d0
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,7 +162,7 @@ def test_agrees_with_grid_search(seed):
 
 
 def assert_symmetric_optimum(cm):
-    d, sol = tin_symmetric(cm)
+    d, sol = symmetric(cm)
     assert d == symmetric_tin_optimum(cm)
     # the returned solution is a feasible point at d itself
     assert sol.feasible and all(x <= 0 for x in sol.r)
@@ -184,7 +195,7 @@ def test_binding_two_cycle_is_the_start(monkeypatch):
     # (1 - 3/4 + 1 - 3/4) / 2 = 1/4 is the optimum, so the start is feasible.
     calls = counted_feasible(monkeypatch)
     cm = validate_channel([["1", "3/4"], ["3/4", "1"]])
-    d, sol = tin_symmetric(cm)
+    d, sol = symmetric(cm)
     assert d == Fraction(1, 4) == symmetric_tin_optimum(cm)
     assert sol.feasible and len(calls) == 1
 
@@ -194,7 +205,7 @@ def test_binding_three_cycle_needs_a_dinkelbach_step(monkeypatch):
     # cycle ratio is at least 3/4, the 3-cycle's is 1/2.
     calls = counted_feasible(monkeypatch)
     cm = validate_channel([["1", "1/2", "0"], ["0", "1", "1/2"], ["1/2", "0", "1"]])
-    d, sol = tin_symmetric(cm)
+    d, sol = symmetric(cm)
     assert d == Fraction(1, 2) == symmetric_tin_optimum(cm)
     assert sol.feasible and len(calls) >= 2
 
@@ -229,7 +240,7 @@ def test_integer_core_matches_fraction_reference(seed):
     the reference's t*, exponents, fractions and certificates, also when
     the link set carries pairs that are not present cross links of the
     channel (an absent pair, a self link, out-of-range and negative
-    indices), which every solver ignores."""
+    indices), which Heard.of drops."""
     rng = random.Random(seed)
     K = rng.randint(1, 5)
     cm = random_channel(rng, K, diag_choices=MIXED_DIAG, cross_choices=MIXED_CROSS,
@@ -240,22 +251,34 @@ def test_integer_core_matches_fraction_reference(seed):
     sub = tin_subchannel(cm, links)
     t_ref, sol_ref = reference_tin_symmetric(sub)
     targets = [rng.choice([0, *MIXED_CROSS]) for _ in range(K)]
-    # the heard lists built once stand in for the link set in every solver
-    for given_links in (links, links | junk, tin.Heard.of(cm, links | junk)):
-        t, sol = tin_symmetric(cm, given_links)
+    # Heard.of keeps only the present cross links of the set it is given
+    assert Heard.of(cm, links | junk) == Heard.of(cm, links)
+    for heard in (Heard.of(cm, links), Heard.of(cm, links | junk)):
+        t, sol = symmetric(cm, heard)
         assert (t, sol.r) == (t_ref, sol_ref.r)
-        assert single_level_gdof(cm, sol.r, given_links) == tuple(single_stream_gdof(sub, sol_ref.r))
+        assert single_level_gdof(cm, sol.r, heard) == tuple(single_stream_gdof(sub, sol_ref.r))
         # t = C / (m * S) as the scaled targets Dinkelbach passes
-        scaled = tin.Scaled(t.denominator, (t.numerator * cm.scale,) * K)
-        assert tin_feasible(cm, scaled, given_links) == tin_feasible(cm, [t] * K, given_links)
+        scaled = Scaled(t.denominator, (t.numerator * cm.scale,) * K)
+        assert Scaled.of(cm, [t] * K) == scaled
+        assert tin.tin_feasible(cm, scaled, heard) == tin_feasible(cm, [t] * K, heard)
 
         above = [t + Fraction(1, 10**9)] * K
         for d in (above, targets):
-            got, want = tin_feasible(cm, d, given_links), reference_tin_feasible(sub, d)
+            got, want = tin_feasible(cm, d, heard), reference_tin_feasible(sub, d)
             assert got == want
             if not got.feasible:
                 cycle = got.negative_cycle
                 assert all(type(w) is Fraction for _, _, w in cycle)
                 assert sum(w for _, _, w in cycle) < 0
                 assert [v for _, v, _ in cycle] == [u for u, _, _ in cycle[1:] + cycle[:1]]
-        assert not tin_feasible(cm, above, given_links).feasible
+        assert not tin_feasible(cm, above, heard).feasible
+
+
+def test_targets_become_scaled_only_through_scaled_of():
+    """Scaled.of puts number-like targets over one denominator times the
+    channel's scale, and refuses a wrong count or a negative target."""
+    cm = validate_channel([["1", "1/3"], ["1/2", "1"]])  # S = 6
+    assert Scaled.of(cm, ["1/4", 0]) == Scaled(4, (6, 0))
+    for bad in ([Fraction(1, 4)], [0, 0, 0], [Fraction(-1, 4), 0]):
+        with pytest.raises(ValueError):
+            Scaled.of(cm, bad)
