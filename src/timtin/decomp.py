@@ -45,6 +45,7 @@ from .model import (
     DimensionMismatch,
     MapMismatch,
     Scheme,
+    Stream,
     WeightMismatch,
     over_lcm,
     to_fraction,
@@ -149,15 +150,19 @@ def synthesize_scheme(
     """Combine the two component solutions into one explicit scheme: each
     user u sends one stream per assigned direction, all at its power-level
     exponent R[u] / M for ``power`` (M, R) (the fraction lives in the
-    dimension count, not the power).  The Scheme checks each stream: a
-    power exponent at most 0 and a nonzero direction of the block length.
-    Streams are shared through ``interned`` as Scheme.from_rows describes,
-    under each exponent in lowest terms."""
+    dimension count, not the power).  The Stream and Scheme check each
+    stream: a power exponent at most 0 and a nonzero direction of the
+    block length.  Equal (user, direction, P, Q) quadruples, P / Q the
+    exponent in lowest terms, give one Stream, built and checked once per
+    ``interned`` dict, which they key, so that no Fraction is hashed."""
     M, R = power
     exponents = [(P // gcd(P, M), M // gcd(P, M)) for P in R]
-    users = enumerate(tim_sol.directions)
-    streams = ((u, vector, *exponents[u]) for u, vectors in users for vector in vectors)
-    return Scheme.from_rows(tim_sol.n, streams, interned)
+    quads = [(u, row, *exponents[u]) for u, rows in enumerate(tim_sol.directions) for row in rows]
+    interned = {} if interned is None else interned
+    for quad in quads:
+        if quad not in interned:
+            interned[quad] = Stream(quad[0], quad[1], Fraction(*quad[2:]))
+    return Scheme(tim_sol.n, tuple(map(interned.__getitem__, quads)))
 
 
 class _Caches:
@@ -182,7 +187,7 @@ class _Caches:
       tuple, each entry holding that TimSolution so the id stays its own;
     - ``interned``: keyed by a reduced (denominator, numerators) pair, the
       verified Fractions, one tuple object per value; keyed by an int
-      quadruple, each Stream (see Scheme.from_rows)."""
+      quadruple, each Stream (see synthesize_scheme)."""
 
     def __init__(self, channel: ChannelMatrix):
         self.channel, self.K, self.links = channel, channel.K, channel.cross_links()

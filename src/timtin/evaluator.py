@@ -6,9 +6,9 @@ over linearly independent subsets of the beamforming vectors, of the sum
 of their receive power exponents.  A greedy sweep in descending exponent
 order with an exact rank test attains that maximum (linear matroid +
 sorted weights), so no epsilon ever enters the GDoF path.  The sweep runs
-on Python ints: each scheme clears its vectors' denominators once
-(``Scheme.rows``), and receiver k's exponents are scaled by one lcm E of
-the channel's strength scale and the power-exponent denominators.  One
+on Python ints: each stream holds its direction as an integer row, built
+when the stream is, and receiver k's exponents are scaled by one lcm E
+of the channel's strength scale and the power-exponent denominators.  One
 int core, ``_exponents_after``, reads a scheme's integer directions and
 integer receive exponents; user_gdof and gdof_report wrap it and make
 Fractions of the GDoF values they report, and ``scaled_gdof`` wraps it
@@ -58,7 +58,7 @@ MAX_ORACLE_POWER = 1e12
 # peaks at 128 MB RSS.
 MAX_ORACLE_BLOCK = 64
 MAX_ORACLE_COORDINATE = 1e150  # its square, summed over a direction, stays a double
-_MAX_COORDINATE_EXACT = Fraction(MAX_ORACLE_COORDINATE)  # what a Fraction compares against
+_MAX_COORDINATE_EXACT = int(MAX_ORACLE_COORDINATE)  # the double's exact value, for int compares
 
 
 def logdet_exponent(pairs: Sequence[tuple[Sequence[int], Fraction | int]]) -> Fraction | int:
@@ -123,15 +123,15 @@ def _exponents_after(
     """The int core of every GDoF the evaluator gives: receiver k's log-det
     exponents after each number in ``decodeds`` of its own streams decoded
     (running from none to all of them), as integers over one denominator
-    E, returned alongside.  The scheme's users, integer rows and scaled
-    powers are cached on it, so only the receive strengths are read per
-    receiver."""
+    E, returned alongside.  The scheme's users and scaled powers are
+    cached on it and its streams hold integer rows, so only the receive
+    strengths are read per receiver."""
     S, (Q, powers), users = channel.scale, scheme.scaled_powers, scheme.users
     E = math.lcm(S, Q)
     row, per_strength, per_power = channel.scaled[k], E // S, E // Q
     pairs = [
-        (vector, row[u] * per_strength + p * per_power)
-        for vector, u, p in zip(scheme.rows, users, powers)
+        (s.vector, row[u] * per_strength + p * per_power)
+        for s, u, p in zip(scheme.streams, users, powers)
     ]
     # with none decoded, receiver k hears every stream
     views = (list(compress(pairs, _undecoded(users, k, d))) if d else pairs for d in decodeds)
@@ -270,9 +270,11 @@ def _oracle_inputs(scheme: Scheme, channel: ChannelMatrix, P: float):
     exponents = [-s.power_exp for s in scheme.streams] + [a for row in strengths for a in row]
     if max(exponents, default=0) > reach:
         raise ValueError(f"a receive exponent beyond ±{reach:.6g} leaves double range at P={P:g}")
-    if any(abs(c) > _MAX_COORDINATE_EXACT for s in scheme.streams for c in s.vector):
+    # each row over its first nonzero coordinate; an int quotient is correctly rounded
+    rows = [(s.vector, next(c for c in s.vector if c)) for s in scheme.streams]
+    if any(max(map(abs, row)) > _MAX_COORDINATE_EXACT * lead for row, lead in rows):
         raise ValueError(f"a coordinate beyond {MAX_ORACLE_COORDINATE:.0e} leaves double range")
-    directions = np.array([[float(c) for c in s.vector] for s in scheme.streams])
+    directions = np.array([[c / lead for c in row] for row, lead in rows])
     directions = directions.reshape(-1, scheme.n)  # shape (0, n) when there are no streams
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     r = np.array([float(s.power_exp) for s in scheme.streams])

@@ -1,13 +1,13 @@
 """Core data types: channel strength matrices, beamforming schemes, GDoF
 reports and decomposition maps, plus validation and exact JSON round-trips.
 
-Strength exponents, power exponents and vector coordinates are
-`fractions.Fraction` at every interface; channels and scheme vectors also
-carry an integer form, built once per object on first use, for the TIN
-solver and the exact evaluator.  Decimal text such as "0.3" is parsed as
-the exact decimal fraction 3/10; binary floats never leak into the
-arithmetic (they only appear in the finite-power oracle).  All types are
-frozen after construction and safe to share between concurrent workers.
+Strength and power exponents are `fractions.Fraction` at every interface,
+and a channel also carries an integer form, built on first use, for the
+TIN solver and the exact evaluator.  A stream holds its direction as the
+primitive integer row on its line, built with the stream.  Decimal text
+such as "0.3" is parsed as the exact decimal fraction 3/10; binary floats
+only appear in the finite-power oracle.  All types are frozen after
+construction and safe to share between concurrent workers.
 
 Users are indexed 0-based in memory; the JSON file formats are 1-based.
 """
@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, log10
-from typing import Iterable, Sequence
+from math import gcd, lcm, log10
+from typing import Sequence
 
 
 class DomainError(Exception):
@@ -241,30 +241,52 @@ def over_lcm(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return m, tuple(c.numerator * (m // c.denominator) for c in values)
 
 
+# Most bits the lcm of one direction's denominators may have: the widest
+# denominator one number may spell, 10^8600 (4,300 decimals at e-4300), has
+# 28,569.  Unbounded, rows grow with the file: 400 coordinates
+# 1/(10^1000 + i), a 403-KB scheme, took `eval` 250 s.
+MAX_ROW_DENOMINATOR_BITS = 32768
+
+
 def integer_row(vector: Sequence) -> tuple[int, ...]:
-    """A rational vector times the lcm of its denominators: a nonzero
-    integer multiple of it, so it spans the same line."""
-    return over_lcm(vector)[1]
+    """The primitive integer row on a nonzero rational vector's line: the
+    vector times the lcm of its denominators, divided by the gcd of the
+    result, with its first nonzero coordinate positive.  Vectors on one
+    line give one row.  A denominator lcm of more than
+    MAX_ROW_DENOMINATOR_BITS bits is a ValueError, raised as it passes them."""
+    m = 1
+    for c in vector:
+        m = lcm(m, c.denominator)
+        if m.bit_length() > MAX_ROW_DENOMINATOR_BITS:
+            raise ValueError(f"a direction's denominator lcm passes {MAX_ROW_DENOMINATOR_BITS} bits")
+    # a prime of m divides some c's denominator and so not its numerator:
+    # the gcd of the numerators is that of the row
+    g = gcd(*(c.numerator for c in vector))
+    g = g if next(c for c in vector if c) > 0 else -g
+    return tuple([c.numerator // g * (m // c.denominator) for c in vector])
 
 
 @dataclass(frozen=True)
 class Stream:
     """One scalar data stream: user index, beamforming direction over the
-    block, and transmit power exponent (power is P^power_exp)."""
+    block, and transmit power exponent (power is P^power_exp).  The
+    direction may be given as any nonzero rational vector on its line;
+    ``vector`` holds its integer_row."""
 
     user: int
-    vector: tuple[Fraction, ...]
+    vector: tuple[int, ...]
     power_exp: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(map(to_fraction, self.vector)))
+        vector = tuple(map(to_fraction, self.vector))
         object.__setattr__(self, "power_exp", to_fraction(self.power_exp))
-        if not any(self.vector):
+        if not any(vector):
             raise EmptyVector(f"stream of user {self.user} has no direction")
         if self.power_exp > 0:
             raise PositivePowerExponent(
                 f"stream of user {self.user} has power exponent {self.power_exp} > 0"
             )
+        object.__setattr__(self, "vector", integer_row(vector))
 
 
 @dataclass(frozen=True)
@@ -288,30 +310,6 @@ class Scheme:
                     f"stream of user {s.user} has {len(s.vector)} coordinates, block is {self.n}"
                 )
 
-    @classmethod
-    def from_rows(cls, n: int, streams: Iterable[tuple], interned: dict | None = None) -> Scheme:
-        """A scheme from (user, integer direction, P, Q) quadruples, the
-        stream's power exponent being P / Q.  Each stream's vector holds the
-        direction as Fractions, and ``rows`` keeps the integers as given:
-        integer_row of an integer vector is that vector.  Equal quadruples
-        give one Stream, built and checked once: within the call, and across
-        the calls that pass one ``interned`` dict, which the quadruples key,
-        so that no Fraction is hashed."""
-        interned = {} if interned is None else interned
-        quads = list(streams)
-        for quad in quads:
-            if quad not in interned:
-                user, row, P, Q = quad
-                interned[quad] = Stream(user, row, Fraction(P, Q))
-        scheme = cls(n, tuple(map(interned.__getitem__, quads)))
-        scheme.__dict__["rows"] = tuple(quad[1] for quad in quads)  # the cached_property's slot
-        return scheme
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each stream's vector as an integer row (see integer_row)."""
-        return tuple(integer_row(s.vector) for s in self.streams)
-
     @cached_property
     def users(self) -> tuple[int, ...]:
         """Each stream's user, in stream order."""
@@ -325,20 +323,14 @@ class Scheme:
 
 
 def validate_scheme(scheme: Scheme, channel: ChannelMatrix) -> Scheme:
-    """Check a scheme against a channel and return it in normalized form.
-
-    Each vector is rescaled so its first nonzero coordinate is 1; scaling
-    is GDoF-irrelevant, so this is a pure canonicalization.  Vector length,
-    power exponent and nonzero direction are already enforced by the
-    Stream and Scheme constructors.
-    """
-    normalized = []
+    """Check that every stream's user is a user of the channel and return
+    the scheme.  Vector length, power exponent and nonzero direction are
+    already enforced by the Stream and Scheme constructors, and each
+    direction is already its canonical row."""
     for s in scheme.streams:
         if not 0 <= s.user < channel.K:
             raise DimensionMismatch(f"stream user {s.user} out of range for K={channel.K}")
-        pivot = next(c for c in s.vector if c != 0)
-        normalized.append(Stream(s.user, tuple(c / pivot for c in s.vector), s.power_exp))
-    return Scheme(scheme.n, tuple(normalized))
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -381,8 +373,12 @@ class DecompositionMap:
 
 def loads(text: str):
     """JSON text with each number that has a fraction or exponent read as
-    the exact Fraction it spells (0.1 is 1/10), never a binary double."""
-    return json.loads(text, parse_float=to_fraction)
+    the exact Fraction it spells (0.1 is 1/10), never a binary double.
+    Nesting too deep for the parser is a MalformedDocument."""
+    try:
+        return json.loads(text, parse_float=to_fraction)
+    except RecursionError:
+        raise MalformedDocument("JSON nested too deeply") from None
 
 
 def document_list(value, what: str) -> list:

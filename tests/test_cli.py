@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +250,42 @@ def test_malformed_documents_are_domain_errors(files, capsys, tmp_path, command,
     doc = json.loads(out)
     jsonschema.validate(doc, schema("error.schema.json"))
     assert doc["error"].startswith("MalformedDocument: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tin", "-t", "{doc}"],
+        ["eval", "-t", "{doc}", "-s", "{scheme}"],
+        ["oracle", "-t", "{topo}", "-s", "{doc}"],
+        ["tim", "-t", "{topo}", "--links", "{doc}"],
+        ["timeshare", "-r", "{doc}", "-w", "1"],
+    ],
+)
+def test_deeply_nested_json_in_every_file_slot_is_a_domain_error(files, capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    slots = {"doc": path, "topo": files / "small.json", "scheme": files / "tiny_scheme.json"}
+    code, out = run(capsys, *[a.format(**slots) for a in argv])
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("error.schema.json"))
+    assert doc["error"] == "MalformedDocument: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle"])
+def test_direction_with_a_huge_denominator_lcm_is_refused_fast(files, capsys, tmp_path, command):
+    """400 coordinates 1/(10^1000 + i), a 403-KB scheme, once took `eval`
+    minutes; integer_row refuses it as the lcm passes its limit."""
+    vector = [f"1/{10**1000 + i}" for i in range(400)]
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"n": 400, "streams": [{"user": 1, "vector": vector, "power_exp": "0"}]}))
+    assert path.stat().st_size > 400_000
+    start = time.perf_counter()
+    code, out = run(capsys, command, "-t", str(files / "tiny.json"), "-s", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["error"].startswith("MalformedDocument: scheme: ")
 
 
 TWO_STREAMS = {

@@ -18,12 +18,14 @@ from timtin.fixtures import BASELINE_TIM_LINKS
 from timtin.model import (
     ChannelMatrix,
     MapMismatch,
+    Scheme,
+    Stream,
     WeightMismatch,
     emit_scheme,
     validate_channel,
     validate_scheme,
 )
-from timtin.tim import TimTopology, tim_solve
+from timtin.tim import TimSolution, TimTopology, tim_solve
 
 # a result's public fields, in the order of its decompose document
 FIELDS = (
@@ -221,8 +223,8 @@ def test_search_reports_the_maps_it_evaluated(network5, monkeypatch, cap):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_synthesized_schemes_are_already_normalized(seed):
-    """synthesize_scheme skips validate_scheme: every TIM direction leads
-    with 1, so normalizing a searched scheme changes nothing."""
+    """Every TIM direction is an int row that leads with 1, so it is its
+    own integer_row: each synthesized stream holds the TIM row as given."""
     rng = random.Random(seed)
     K = rng.randint(2, 6)
     links = frozenset(
@@ -235,9 +237,35 @@ def test_synthesized_schemes_are_already_normalized(seed):
     cm = random_channel(rng, K, cross_prob=min(0.5, 6 / (K * (K - 1))))
     report = decomp.search(cm, decomp.SearchBudget(exhaustive_cap=7))
     for r in report.frontier + report.failed:
-        assert validate_scheme(r.scheme, cm) == r.scheme
-        # the model boundary is unchanged: scheme coordinates are Fractions
-        assert all(type(c) is Fraction for s in r.scheme.streams for c in s.vector)
+        assert validate_scheme(r.scheme, cm) is r.scheme
+        assert all(type(c) is int for s in r.scheme.streams for c in s.vector)
+        directions = tim_solve(TimTopology(cm.K, r.map.tim_links)).directions
+        assert [s.vector for s in r.scheme.streams] == [v for vs in directions for v in vs]
+
+
+def test_synthesize_scheme_interns_one_stream_per_quadruple():
+    rows = ((1, 0, 3), (0, 0, 1)), ((0, 1, -2),)
+    sol = TimSolution((Fraction(2, 3), Fraction(1, 3)), "coloring", 3, rows)
+    interned = {}
+    built = decomp.synthesize_scheme((4, (-2, 0)), sol, interned)
+    expected = Scheme(3, (
+        Stream(0, (1, 0, 3), Fraction(-1, 2)),
+        Stream(0, (0, 0, 1), Fraction(-1, 2)),
+        Stream(1, (0, 1, -2), 0),
+    ))
+    assert built == expected and repr(built) == repr(expected)
+    # the intern is keyed on ints alone, each exponent in lowest terms,
+    # one Stream per distinct quadruple
+    quads = [(0, (1, 0, 3), -1, 2), (0, (0, 0, 1), -1, 2), (1, (0, 1, -2), 0, 1)]
+    assert list(interned) == quads
+    assert all(type(x) is int for _, row, p, q in interned for x in (*row, p, q))
+    assert [interned[q] for q in quads] == list(built.streams)
+    again = decomp.synthesize_scheme((2, (-1, -1)), sol, interned)
+    assert again.streams[:2] == built.streams[:2]
+    assert all(a is b for a, b in zip(again.streams[:2], built.streams[:2]))
+    assert again.streams[2] is interned[(1, (0, 1, -2), -1, 2)]
+    assert built.users == (0, 0, 1)
+    assert built.scaled_powers == (2, (-1, -1, 0))
 
 
 def _mask_of(result, links) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from timtin.decomp import split
 from timtin.fixtures import five_user_network
 from timtin.model import (
+    MAX_ROW_DENOMINATOR_BITS,
     DimensionMismatch,
     EmptyVector,
     MalformedDocument,
@@ -23,6 +25,7 @@ from timtin.model import (
     emit_scheme,
     emit_topology,
     format_rational,
+    integer_row,
     link_list,
     loads,
     parse_links,
@@ -216,20 +219,46 @@ def test_scheme_round_trip(data):
     assert parse_scheme(emit_scheme(scheme)) == scheme
 
 
-def test_scheme_from_rows_equals_the_stream_built_scheme():
-    quads = [(0, (1, 0, 3), -1, 2), (1, (0, 1, -2), 0, 1), (0, (0, 0, 1), -2, 4)]
-    interned = {}
-    built = Scheme.from_rows(3, quads, interned)
-    expected = Scheme(3, tuple(Stream(u, row, Fraction(p, q)) for u, row, p, q in quads))
-    assert built == expected and repr(built) == repr(expected)
-    assert all(type(c) is Fraction for s in built.streams for c in s.vector)
-    assert built.rows == expected.rows == tuple(row for _, row, _, _ in quads)
-    # the intern is keyed on ints alone, one Stream per distinct quadruple
-    assert list(interned) == quads
-    assert all(type(x) is int for _, row, p, q in interned for x in (*row, p, q))
-    assert Scheme.from_rows(3, quads[:1], interned).streams[0] is built.streams[0]
-    assert built.users == (0, 1, 0)
-    assert built.scaled_powers == (2, (-1, 0, -1))
+@given(st.data())
+def test_stream_holds_the_primitive_row_on_its_line(data):
+    n = data.draw(st.integers(1, 4))
+    vector = data.draw(st.lists(rationals, min_size=n, max_size=n).filter(any))
+    c = data.draw(rationals.filter(bool))
+    power = -abs(data.draw(rationals))
+    stream = Stream(0, tuple(vector), power)
+    assert Stream(0, tuple(c * x for x in vector), power) == stream
+    row = stream.vector
+    assert all(type(x) is int for x in row)
+    assert math.gcd(*row) == 1 and next(x for x in row if x) > 0
+    # the same line: row[i] / vector[i] is one positive or negative constant
+    ratios = {Fraction(x) / y for x, y in zip(row, vector) if y}
+    assert len(ratios) == 1 and all(x == 0 for x, y in zip(row, vector) if not y)
+
+
+def test_integer_row_refuses_a_denominator_lcm_beyond_the_limit():
+    # 1e-4300 alone is read, and so is the widest denominator one number
+    # may spell: 4,300 decimals at exponent -4300, 10^8600
+    assert integer_row([Fraction("1e-4300"), Fraction(1, 3)]) == (3, 10**4300)
+    widest = "0." + "7" * 4300 + "e-4300"
+    assert to_fraction(widest).denominator == 10**8600
+    text = json.dumps({"n": 2, "streams": [{"user": 1, "vector": [widest, "1"], "power_exp": "0"}]})
+    assert parse_scheme(text).streams[0].vector == (7 * (10**4300 - 1) // 9, 10**8600)
+    # denominators whose lcm passes the limit are refused
+    big = [Fraction(1, 2**MAX_ROW_DENOMINATOR_BITS - 1), Fraction(1, 2**MAX_ROW_DENOMINATOR_BITS + 1)]
+    assert integer_row(big[:1]) == (1,)
+    with pytest.raises(ValueError, match=f"{MAX_ROW_DENOMINATOR_BITS} bits"):
+        integer_row(big)
+    # in a document, two coprime 4,300-digit denominators are read, and
+    # three are refused
+    denominators = [10**4299 + d for d in (1, 3, 7)]
+    for count in (2, 3):
+        vector = [f"1/{d}" for d in denominators[:count]]
+        text = json.dumps({"n": count, "streams": [{"user": 1, "vector": vector, "power_exp": "0"}]})
+        if count == 2:
+            assert parse_scheme(text).streams[0].vector == (denominators[1], denominators[0])
+        else:
+            with pytest.raises(MalformedDocument, match="bits"):
+                parse_scheme(text)
 
 
 def test_map_output_matches_its_schema():

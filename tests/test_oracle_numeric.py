@@ -93,3 +93,26 @@ def test_logdet_mp_matches_reference_to_the_bit(seed):
     keep = np.array([rng.random() < 0.6 for _ in range(m)])
     keep[rng.randrange(m)] = True
     assert evaluator._logdet_mp(dirs, kappas, P, keep) == reference_logdet_mp(dirs, kappas, P, keep)
+
+
+coordinates = st.one_of(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e, st.integers(-10**20, 10**20), st.integers(-60, 60)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_oracle_directions_match_the_normalized_fractions(data):
+    """Each stream holds an integer row, and the oracle divides it by its
+    first nonzero coordinate: the same doubles as float() of the rational
+    vector scaled so that its first nonzero coordinate is 1."""
+    n = data.draw(st.integers(1, 4))
+    vector = st.lists(coordinates, min_size=n, max_size=n).filter(any)
+    vectors = data.draw(st.lists(vector, min_size=1, max_size=4))
+    scheme = Scheme(n, tuple(Stream(0, tuple(v), 0) for v in vectors))
+    directions, _, _ = evaluator._oracle_inputs(scheme, validate_channel([["1"]]), 1e6)
+    pivots = [next(c for c in v if c) for v in vectors]
+    expected = np.array([[float(c / pivot) for c in v] for v, pivot in zip(vectors, pivots)])
+    expected /= np.linalg.norm(expected, axis=1, keepdims=True)
+    assert np.array_equal(directions, expected)

@@ -126,3 +126,40 @@ def test_src_lines_counts_code_without_blanks_comments_or_docstrings(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == expected
+
+
+def test_corpus_digest_hashes_every_document_it_runs(monkeypatch, capsys):
+    corpus_digest = load_script("corpus_digest")
+    monkeypatch.setattr(corpus_digest, "RANDOM_SCHEMES", 3)
+    seen = []
+    add = corpus_digest.Digest.add
+
+    def recording_add(self, label, text):
+        seen.append((label, text))
+        add(self, label, text)
+
+    monkeypatch.setattr(corpus_digest.Digest, "add", recording_add)
+    assert corpus_digest.main() == 0
+    line = json.loads(capsys.readouterr().out)
+    docs = dict(seen)
+    assert line["documents"] == len(seen) == len(docs)  # one label per document
+    replay = corpus_digest.Digest()
+    for label, text in seen:
+        add(replay, label, text)
+    assert line["sha256"] == replay.sha.hexdigest()
+    # the corpus reaches oracle documents, emitted files, rational schemes
+    # and each error document
+    assert docs["base decompose"].startswith("exit 0\n")
+    assert docs["base scheme_000.json"].startswith("{")
+    for index in range(3):
+        for powers in corpus_digest.ORACLE_POWERS:
+            assert '"rates"' in docs[f"random {index} oracle {powers}"]
+    assert not any(label.startswith("random 3 ") for label in docs)
+    for name, error in [
+        ("zero vector", "EmptyVector"),
+        ("positive power", "PositivePowerExponent"),
+        ("user 0", "DimensionMismatch"),
+        ("user K+1", "DimensionMismatch"),
+    ]:
+        for command in ("eval", "sc", "oracle 1e10"):
+            assert docs[f"error {name} {command}"].startswith(f'exit 1\n{{\n  "error": "{error}: ')
