@@ -21,6 +21,7 @@ from . import decomp, evaluator, tin
 from .model import (
     DomainError,
     MalformedDocument,
+    check_digits,
     document_list,
     dumps,
     emit_decomposition_map,
@@ -66,13 +67,15 @@ def _load_links(path: str) -> frozenset:
 
 
 def _load_frontier_tuples(path: str) -> list[list[Fraction]]:
-    report = loads(Path(path).read_text())
+    text = Path(path).read_text()
+    report = loads(text)
     entries = document_list(report.get("frontier") if isinstance(report, dict) else None, "frontier")
     if not all(isinstance(entry, dict) for entry in entries):
         raise MalformedDocument("frontier entries must be objects")
     try:
         return [[to_fraction(x) for x in document_list(e.get("verified"), "verified")] for e in entries]
     except (TypeError, ValueError) as exc:
+        check_digits(text, MalformedDocument)
         raise MalformedDocument(f"verified: {exc}") from None
 
 

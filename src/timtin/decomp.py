@@ -17,15 +17,15 @@ the verdict; map_mask is the one place where a TIM link set becomes one.
 Per map, the work is the TIN solve and its single-level GDoF, on Python
 ints, the products and verdict as (denominator, numerators) pairs, and
 one DecompositionResult.  Everything else is built once per distinct
-value in a search and kept in one _Caches bound to the channel: per
-receiver and distinct sub-mask of its links, the heard list of its TIN
-side and the alignment and conflict bits of its TIM side; per distinct
-(alignment, conflict) signature, the TimSolution; per distinct conflict
-component, its fractional coloring; per distinct scheme, its synthesis,
-its verification and the Fractions of its verified tuple; per distinct
-stream, its Stream, keyed on ints.  A result's map, TIN fractions,
-products and power exponents are built from its integers when they are
-first read, so a search builds them only for the results a caller reads.
+value in a search and kept in one _Caches bound to the channel, keyed on
+ints: per receiver and distinct sub-mask of its links, the heard list of
+its TIN side and the alignment and conflict bits of its TIM side; per
+distinct (alignment, conflict) signature, the TimSolution; per distinct
+conflict component, its fractional coloring; per distinct scheme, its
+synthesis and its reduced verified (denominator, numerators); per
+distinct stream, its Stream.  A result's other fields are built from its
+integers when first read, so a search builds them only for the results
+a caller reads.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .model import (
     Scheme,
     Stream,
     WeightMismatch,
-    over_lcm,
     to_fraction,
 )
 from .tim import TimSolution, TimTopology, tim_solve
@@ -59,8 +58,8 @@ from .tim import TimSolution, TimTopology, tim_solve
 # over a minute.
 # Exhaustive masks are a lazy range; the search keeps one result per
 # distinct verified tuple, and its _Caches one entry per distinct scheme,
-# verified tuple, stream, TIM graph pair, conflict component and receiver
-# sub-mask, so its memory grows with those counts, not with 2^L.
+# stream, TIM graph pair, conflict component and receiver sub-mask, so its
+# memory grows with those counts, not with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
 
@@ -78,37 +77,28 @@ class SearchBudget:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DecompositionResult:
-    """One map's outcome.  ``verdict``, ``verified`` and ``scheme`` are
-    computed with it, and ``tim_fractions`` and ``tim_method`` are its
-    TimSolution's.  ``map``, ``tin_fractions``, ``products`` and
-    ``power_exponents`` are built from ``ints`` on first read, as
-    TinSolution.r is.  Two results are equal when all FIELDS are."""
-
-    FIELDS = (
-        "map", "tin_fractions", "tim_fractions", "products", "scheme", "verified", "verdict",
-        "tim_method", "power_exponents",
-    )
+    """One map's outcome.  ``verdict`` and ``scheme`` are computed with it,
+    and ``tim_fractions`` and ``tim_method`` are its TimSolution's.  The
+    cached properties below are built from ``ints`` on first read, as
+    TinSolution.r is; ``ints`` determines them, so two results are equal
+    when the dataclass fields are."""
 
     scheme: Scheme
-    verified: tuple[Fraction, ...]
     verdict: bool
     tim_fractions: tuple[Fraction, ...]
     tim_method: str
     # the channel, its cross links and the map's bitmask over them, and the
-    # map's single-level GDoF, products and power exponents as
-    # (denominator, numerators) pairs
+    # map's single-level GDoF, products, power exponents and verified tuple
+    # as (denominator, numerators) pairs, the verified one reduced
     ints: tuple = field(repr=False)
 
     map = cached_property(lambda r: split(r.ints[0], _tim_links(*r.ints[1:3])))
     tin_fractions = cached_property(lambda r: _as_fractions(r.ints[3]))
     products = cached_property(lambda r: _as_fractions(r.ints[4]))
     power_exponents = cached_property(lambda r: _as_fractions(r.ints[5]))
-
-    def __eq__(self, other):
-        same = isinstance(other, DecompositionResult)
-        return same and all(getattr(self, n) == getattr(other, n) for n in self.FIELDS)
+    verified = cached_property(lambda r: _as_fractions(r.ints[6]))
 
 
 class SearchReport(NamedTuple):
@@ -178,16 +168,16 @@ class _Caches:
       Heard.of orders it, and the signature bits of k's alignment pairs
       (a, b), bit a * K + b, and conflict edges {k, j}, bit K * K + min *
       K + max;
-    - ``tim``: a map's signature, the OR over receivers, to its TimSolution
-      and the canonical TimSolution of its (n, directions), which
-      ``canonical`` holds;
+    - ``canonical``: each distinct (n, directions) of a TimSolution to a
+      small int, its index in order of first sight;
+    - ``tim``: a map's signature, the OR over receivers, to its
+      TimSolution and the index of its (n, directions);
     - ``colorings``: tim_solve's coloring memo;
-    - ``verified``: keyed by the id of a canonical TimSolution and the
-      reduced power exponents, the synthesized scheme and its verified
-      tuple, each entry holding that TimSolution so the id stays its own;
-    - ``interned``: keyed by a reduced (denominator, numerators) pair, the
-      verified Fractions, one tuple object per value; keyed by an int
-      quadruple, each Stream (see synthesize_scheme)."""
+    - ``verified``: keyed by that index and the reduced power exponents,
+      which together fix the scheme, the synthesized scheme and its
+      verified tuple as a reduced (denominator, numerators) pair;
+    - ``interned``: keyed by an int quadruple, each Stream (see
+      synthesize_scheme)."""
 
     def __init__(self, channel: ChannelMatrix):
         self.channel, self.K, self.links = channel, channel.K, channel.cross_links()
@@ -219,11 +209,11 @@ def evaluate_map(
     What is built where:
     - per map: the TIN solve on the map's heard lists and its single-level
       GDoF, the products and the verdict on ints, and the result;
-    - per distinct value, in ``caches`` (a fresh _Caches when None): the
-      heard tuple and signature bits of each receiver sub-mask, the
-      TimSolution of each signature, each coloring, each scheme with its
-      verification, and the Fractions of each verified tuple;
-    - per read: the result's map, tin_fractions, products and
+    - per distinct value, in ``caches`` (a fresh _Caches when None), each
+      keyed on ints: the heard tuple and signature bits of each receiver
+      sub-mask, the TimSolution of each signature, each coloring, and each
+      scheme with its verified tuple;
+    - per read: the result's map, tin_fractions, products, verified and
       power_exponents.
     """
     caches = _Caches(channel) if caches is None else caches
@@ -245,23 +235,20 @@ def evaluate_map(
     solved = caches.tim.get(signature)
     if solved is None:
         tim_sol = tim_solve(TimTopology(channel.K, _tim_links(caches.links, mask)), caches.colorings)
-        canonical = caches.canonical.setdefault((tim_sol.n, tim_sol.directions), tim_sol)
-        solved = caches.tim[signature] = tim_sol, canonical
-    tim_sol, canonical = solved
+        index = caches.canonical.setdefault((tim_sol.n, tim_sol.directions), len(caches.canonical))
+        solved = caches.tim[signature] = tim_sol, index
+    tim_sol, index = solved
     B, F = tim_sol.scaled_fractions
-    products = D * B, [x * y for x, y in zip(N, F)]
-    key, interned = (id(canonical), power), caches.interned
-    verification = caches.verified.get(key)
+    products = D * B, tuple([x * y for x, y in zip(N, F)])
+    verification = caches.verified.get((index, power))
     if verification is None:
-        scheme = synthesize_scheme(power, tim_sol, interned)
+        scheme = synthesize_scheme(power, tim_sol, caches.interned)
         verified = _reduced(*evaluator.scaled_gdof(scheme, channel))
-        # one Fraction tuple per verified value, so equal tuples are one object
-        fractions = interned.get(verified) or interned.setdefault(verified, _as_fractions(verified))
-        verification = caches.verified[key] = canonical, scheme, verified, fractions
-    _, scheme, verified, verified_fractions = verification
+        verification = caches.verified[index, power] = scheme, verified
+    scheme, verified = verification
     return DecompositionResult(
-        scheme, verified_fractions, _dominates(verified, products), tim_sol.fractions,
-        tim_sol.method, (channel, caches.links, mask, (D, N), products, power),
+        scheme, _dominates(verified, products), tim_sol.fractions, tim_sol.method,
+        (channel, caches.links, mask, (D, N), products, power, verified),
     )
 
 
@@ -313,8 +300,8 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
     budget = budget or SearchBudget()
     # candidate_masks ascends and each verified tuple keeps the first result
     # seen, so both dicts (insertion-ordered) are already in mask order.
-    # evaluate_map interns the verified tuples in the caches, so equal
-    # tuples are one object, and its id keys them.
+    # They are keyed on the reduced (denominator, numerators) pair of the
+    # verified tuple, which is one pair per value.
     passed, failed = {}, {}
     # Receiver sub-masks, TIM graph pairs and subproblems repeat across
     # maps, and so do schemes and verified tuples.
@@ -322,17 +309,16 @@ def search(channel: ChannelMatrix, budget: SearchBudget | None = None) -> Search
     masks = candidate_masks(channel, budget)
     for mask in masks:
         result = evaluate_map(channel, mask, caches)
-        (passed if result.verdict else failed).setdefault(id(result.verified), result)
+        (passed if result.verdict else failed).setdefault(result.ints[6], result)
     # A dominator has a strictly larger sum and dominance is transitive, so
     # in descending-sum order each tuple need only be tested against the
     # undominated tuples kept before it.
-    scaled = {key: over_lcm(res.verified) for key, res in passed.items()}
     undominated: list[tuple] = []
-    for D, N in sorted(scaled.values(), key=lambda v: Fraction(sum(v[1]), v[0]), reverse=True):
-        if not any(_dominates(other, (D, N)) for other in undominated):
-            undominated.append((D, N))
+    for key in sorted(passed, key=lambda v: Fraction(sum(v[1]), v[0]), reverse=True):
+        if not any(_dominates(other, key) for other in undominated):
+            undominated.append(key)
     kept = set(undominated)
-    frontier = [res for key, res in passed.items() if scaled[key] in kept]
+    frontier = [res for key, res in passed.items() if key in kept]
     return SearchReport(frontier, list(failed.values()), len(masks))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, log10
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class DomainError(Exception):
@@ -81,16 +81,33 @@ class BudgetOutOfRange(DomainError):
 # unbounded one would build 10^exponent (1e999999999: a ~415-MB integer).
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)$", re.IGNORECASE)  # digits as Fraction reads them
+# Most digits one integer may spell: CPython's default int-string limit.
+# Output is held to it whatever the interpreter's setting.  On input the
+# interpreter refuses a longer run of digits, and check_digits turns its
+# error, which names an interpreter setting, into one naming this limit.
+MAX_DIGITS = 4300
+_OUTPUT_BOUND = 10**MAX_DIGITS
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def check_digits(text: str, error: type[Exception] = ValueError) -> None:
+    """``error`` if a run of digits in ``text`` (underscores aside) is
+    longer than MAX_DIGITS.  Called only once a parse has failed, so a
+    good input pays nothing for it."""
+    longest = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
+    if longest > MAX_DIGITS:
+        raise error(f"a run of {longest} digits exceeds the {MAX_DIGITS}-digit input limit")
 
 
 def to_fraction(value: object) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 
     Strings may be decimal ("0.3" -> 3/10, "2e-1" -> 1/5) or "p/q", q != 0;
-    a decimal exponent beyond MAX_DECIMAL_EXPONENT in magnitude is a
-    ValueError.  Floats go through their shortest decimal repr, so 0.3
-    means 3/10 rather than the underlying binary double.  A Fraction is
-    immutable and comes back as the same object.
+    a run of more than MAX_DIGITS digits, or a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT in magnitude, is a ValueError.  Floats go through
+    their shortest decimal repr, so 0.3 means 3/10 rather than the
+    underlying binary double.  A Fraction is immutable and comes back as
+    the same object.
     """
     if type(value) is Fraction:
         return value
@@ -104,40 +121,36 @@ def to_fraction(value: object) -> Fraction:
         return Fraction(repr(value))
     if isinstance(value, str):
         text = value.strip()
-        exponent = _EXPONENT.search(text)
-        if exponent and int(exponent[1]) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent in {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
+            exponent = _EXPONENT.search(text)
+            if exponent and int(exponent[1]) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent in {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            check_digits(text)
+            raise
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-# Most digits one integer of the output may spell: CPython's default
-# int-string limit, fixed here so that output does not depend on the
-# interpreter's setting.
-MAX_OUTPUT_DIGITS = 4300
-_OUTPUT_BOUND = 10**MAX_OUTPUT_DIGITS
 
 
 def _digits(n: int) -> str:
     """The decimal digits of ``n``, or ValueError if there are more than
-    MAX_OUTPUT_DIGITS of them."""
+    MAX_DIGITS of them."""
     if abs(n) < _OUTPUT_BOUND:
         return str(n)
     size = int(log10(abs(n)))  # floor(log10 |n|), give or take one
     size += abs(n) >= 10 ** (size + 1)
     size -= abs(n) < 10**size
     raise ValueError(
-        f"a {size + 1}-digit number exceeds the {MAX_OUTPUT_DIGITS}-digit output limit"
+        f"a {size + 1}-digit number exceeds the {MAX_DIGITS}-digit output limit"
     )
 
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form: finite decimal when the denominator is 2^a 5^b,
     otherwise "p/q".  A numerator, a denominator or a decimal's digits
-    beyond MAX_OUTPUT_DIGITS are a ValueError."""
+    beyond MAX_DIGITS are a ValueError."""
     num, den = x.numerator, x.denominator
     d = den
     twos = fives = 0
@@ -164,7 +177,8 @@ class ChannelMatrix:
 
     ``alpha[k][i]`` is the strength exponent of the link from transmitter
     ``i`` to receiver ``k``.  A zero entry means the link is absent (at or
-    below the noise floor); diagonal entries must be positive.
+    below the noise floor); diagonal entries must be positive, and the
+    strength denominators' lcm is checked as a bounded_lcm.
     """
 
     K: int
@@ -185,11 +199,12 @@ class ChannelMatrix:
         for k in range(self.K):
             if self.alpha[k][k] <= 0:
                 raise ZeroDirectLink(k)
+        self.scale  # an over-wide lcm is refused here, not in a solver
 
     @cached_property
     def scale(self) -> int:
-        """S, the lcm of the strength denominators."""
-        return lcm(*(x.denominator for row in self.alpha for x in row))
+        """S, the lcm of the strength denominators, a bounded_lcm."""
+        return bounded_lcm((x.denominator for row in self.alpha for x in row), "the strengths'")
 
     @cached_property
     def scaled(self) -> tuple[tuple[int, ...], ...]:
@@ -241,24 +256,31 @@ def over_lcm(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return m, tuple(c.numerator * (m // c.denominator) for c in values)
 
 
-# Most bits the lcm of one direction's denominators may have: the widest
-# denominator one number may spell, 10^8600 (4,300 decimals at e-4300), has
-# 28,569.  Unbounded, rows grow with the file: 400 coordinates
-# 1/(10^1000 + i), a 403-KB scheme, took `eval` 250 s.
-MAX_ROW_DENOMINATOR_BITS = 32768
+# Most bits the lcm of one direction's denominators, of a channel's strength
+# denominators or of a scheme's power-exponent denominators may have: the
+# widest denominator one number may spell, 10^8600 (4,300 decimals at
+# e-4300), has 28,569.  Unbounded, the integers grow with the file: 400
+# coordinates 1/(10^1000 + i), a 403-KB scheme, took `eval` 250 s.
+MAX_LCM_BITS = 32768
+
+
+def bounded_lcm(denominators: Iterable[int], whose: str) -> int:
+    """The lcm of ``denominators``; more than MAX_LCM_BITS bits is a
+    ValueError naming ``whose`` they are, raised as the lcm passes them."""
+    m = 1
+    for d in denominators:
+        m = lcm(m, d)
+        if m.bit_length() > MAX_LCM_BITS:
+            raise ValueError(f"{whose} denominator lcm passes {MAX_LCM_BITS} bits")
+    return m
 
 
 def integer_row(vector: Sequence) -> tuple[int, ...]:
     """The primitive integer row on a nonzero rational vector's line: the
     vector times the lcm of its denominators, divided by the gcd of the
     result, with its first nonzero coordinate positive.  Vectors on one
-    line give one row.  A denominator lcm of more than
-    MAX_ROW_DENOMINATOR_BITS bits is a ValueError, raised as it passes them."""
-    m = 1
-    for c in vector:
-        m = lcm(m, c.denominator)
-        if m.bit_length() > MAX_ROW_DENOMINATOR_BITS:
-            raise ValueError(f"a direction's denominator lcm passes {MAX_ROW_DENOMINATOR_BITS} bits")
+    line give one row.  Its denominators' lcm is a bounded_lcm."""
+    m = bounded_lcm((c.denominator for c in vector), "a direction's")
     # a prime of m divides some c's denominator and so not its numerator:
     # the gcd of the numerators is that of the row
     g = gcd(*(c.numerator for c in vector))
@@ -294,7 +316,8 @@ class Scheme:
     """Beamforming scheme over an n-use block.
 
     Within each user, stream order is the successive-cancellation decoding
-    order and is preserved.
+    order and is preserved.  The power-exponent denominators' lcm is
+    checked as a bounded_lcm.
     """
 
     n: int
@@ -309,6 +332,7 @@ class Scheme:
                 raise DimensionMismatch(
                     f"stream of user {s.user} has {len(s.vector)} coordinates, block is {self.n}"
                 )
+        self.scaled_powers  # an over-wide lcm is refused here, not in the evaluator
 
     @cached_property
     def users(self) -> tuple[int, ...]:
@@ -317,9 +341,12 @@ class Scheme:
 
     @cached_property
     def scaled_powers(self) -> tuple[int, tuple[int, ...]]:
-        """(Q, N): Q the lcm of the power-exponent denominators and N each
-        stream's power exponent times Q, in stream order."""
-        return over_lcm([s.power_exp for s in self.streams])
+        """(Q, N): Q the lcm of the power-exponent denominators, a
+        bounded_lcm, and N each stream's power exponent times Q, in stream
+        order."""
+        exps = [s.power_exp for s in self.streams]
+        Q = bounded_lcm([e.denominator for e in exps], "the power exponents'")
+        return Q, tuple([e.numerator * (Q // e.denominator) for e in exps])
 
 
 def validate_scheme(scheme: Scheme, channel: ChannelMatrix) -> Scheme:
@@ -374,11 +401,16 @@ class DecompositionMap:
 def loads(text: str):
     """JSON text with each number that has a fraction or exponent read as
     the exact Fraction it spells (0.1 is 1/10), never a binary double.
-    Nesting too deep for the parser is a MalformedDocument."""
+    Nesting too deep for the parser, or a number the parser refuses for a
+    run of more than MAX_DIGITS digits, is a MalformedDocument."""
     try:
         return json.loads(text, parse_float=to_fraction)
     except RecursionError:
         raise MalformedDocument("JSON nested too deeply") from None
+    except ValueError as exc:
+        if not isinstance(exc, json.JSONDecodeError):
+            check_digits(text, MalformedDocument)
+        raise
 
 
 def document_list(value, what: str) -> list:
@@ -427,6 +459,7 @@ def parse_topology(text: str) -> ChannelMatrix:
     try:
         channel = validate_channel(rows)
     except (TypeError, ValueError) as exc:
+        check_digits(text, MalformedDocument)
         raise MalformedDocument(f"topology: {exc}") from None
     declared = document_int(doc.get("K", channel.K), "K")
     if declared != channel.K:
@@ -461,6 +494,7 @@ def parse_scheme(text: str) -> Scheme:
         ]
         return Scheme(document_int(doc["n"], "n"), tuple(streams))
     except (TypeError, ValueError) as exc:
+        check_digits(text, MalformedDocument)
         raise MalformedDocument(f"scheme: {exc}") from None
 
 

@@ -320,7 +320,8 @@ def reference_user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> Fract
 
 class ReferenceResult(NamedTuple):
     """A map's result with every field built eagerly, under the library
-    record's public field names (DecompositionResult.FIELDS)."""
+    record's public field names: its dataclass fields and lazy fields,
+    which tests/test_decomp.py lists as FIELDS."""
 
     map: DecompositionMap
     tin_fractions: tuple

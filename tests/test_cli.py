@@ -288,6 +288,69 @@ def test_direction_with_a_huge_denominator_lcm_is_refused_fast(files, capsys, tm
     assert json.loads(out)["error"].startswith("MalformedDocument: scheme: ")
 
 
+@pytest.mark.parametrize("command", ["eval", "sc"])
+def test_power_exponents_with_a_huge_denominator_lcm_are_refused_fast(capsys, tmp_path, command):
+    """400 power exponents -1/(10^1000 + i), a 420-KB scheme, once took
+    `eval` and `sc` seconds; parse_scheme refuses the lcm as it passes its
+    limit."""
+    streams = [{"user": 1 + i % 2, "vector": ["1"], "power_exp": f"-1/{10**1000 + i}"} for i in range(400)]
+    topo, path = tmp_path / "topo.json", tmp_path / "scheme.json"
+    topo.write_text('{"K": 2, "alpha": [["1", "1/2"], ["1/2", "1"]]}')
+    path.write_text(json.dumps({"n": 1, "streams": streams}))
+    assert path.stat().st_size > 400_000
+    start = time.perf_counter()
+    code, out = run(capsys, command, "-t", str(topo), "-s", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "MalformedDocument: scheme: the power exponents' denominator lcm passes 32768 bits"
+    )
+
+
+@pytest.mark.parametrize("command", ["decompose", "tim", "tin"])
+def test_strengths_with_a_huge_denominator_lcm_are_refused_fast(capsys, tmp_path, command):
+    """A 4-user topology of 12 cross strengths 1/(10^1000 + i) once took
+    `decompose` 36 s only to fail on the output limit; parse_topology
+    refuses its lcm for every command, `tim` too, which reads no scale."""
+    alpha = [["1" if k == i else f"1/{10**1000 + 4 * k + i}" for i in range(4)] for k in range(4)]
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({"K": 4, "alpha": alpha}))
+    start = time.perf_counter()
+    code, out = run(capsys, command, "-t", str(topo))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "MalformedDocument: topology: the strengths' denominator lcm passes 32768 bits"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "7" * 4301,  # a JSON integer literal
+        "0." + "7" * 4301 + "e-4300",  # a JSON decimal literal
+        '"0.%se-4300"' % ("7" * 4301),  # a decimal string
+        '"1/%s"' % ("7" * 4301),  # a p/q string
+    ],
+)
+def test_an_over_long_number_names_the_input_limit(capsys, tmp_path, entry):
+    """A 4,301-digit run gives one error, naming the input limit rather
+    than the interpreter's setting, whichever way the number is written
+    and in whichever document."""
+    good, topo = tmp_path / "good.json", tmp_path / "topo.json"
+    scheme, report = tmp_path / "scheme.json", tmp_path / "report.json"
+    good.write_text('{"K": 1, "alpha": [[1]]}')
+    topo.write_text('{"K": 2, "alpha": [[1, %s], [0, 1]]}' % entry)
+    scheme.write_text('{"n": 1, "streams": [{"user": 1, "vector": [%s], "power_exp": 0}]}' % entry)
+    report.write_text('{"frontier": [{"verified": [%s]}]}' % entry)
+    for argv in (["tin", "-t", topo], ["eval", "-t", good, "-s", scheme], ["timeshare", "-r", report, "-w", "1"]):
+        code, out = run(capsys, *map(str, argv))
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema("error.schema.json"))
+        assert doc["error"] == "MalformedDocument: a run of 4301 digits exceeds the 4300-digit input limit"
+
+
 TWO_STREAMS = {
     "n": 1,
     "streams": [

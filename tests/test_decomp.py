@@ -95,6 +95,12 @@ def test_baseline_map_products(baseline_result):
     assert baseline_result.tim_method == "half_rate"
 
 
+def test_verified_is_built_on_first_read(network5):
+    result = decomp.evaluate_map(network5, decomp.map_mask(network5, BASELINE_TIM_LINKS))
+    assert "verified" not in vars(result)  # no Fraction until verified is read
+    assert result.verified is result.verified == (Fraction(3, 10),) * 5
+
+
 def test_improved_map_products(improved_result):
     assert improved_result.products == (Fraction(1, 3),) * 5
     assert improved_result.verified == (Fraction(1, 3),) * 5
@@ -273,23 +279,36 @@ def _mask_of(result, links) -> int:
 
 
 @pytest.mark.parametrize("cap", [decomp.SearchBudget().exhaustive_cap, 3])
-def test_search_results_in_mask_order(cap):
+def test_search_results_in_mask_order(cap, monkeypatch):
     """The frontier and the failed results each ascend in map bitmask,
-    each verified tuple is represented by the lowest mask that reaches it,
-    and each list holds only results of its own verdict."""
+    each verified tuple is represented by the lowest mask of its verdict
+    that reaches it, and each list holds only results of its own verdict.
+    No test network fails a verdict, so a second, lossy pass takes 1 off
+    user 0's verified numerator on even blocks, which fails many maps with
+    few distinct tuples."""
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
     budget = decomp.SearchBudget(exhaustive_cap=cap)
-    first_mask = {}
-    for mask in decomp.candidate_masks(cm, budget):
-        verified = decomp.evaluate_map(cm, mask).verified
-        first_mask.setdefault(verified, mask)
-    report = decomp.search(cm, budget)
-    for group, verdict in ((report.frontier, True), (report.failed, False)):
-        masks = [_mask_of(r, links) for r in group]
-        assert masks == sorted(masks)
-        assert masks == [first_mask[r.verified] for r in group]
-        assert all(r.verdict is verdict for r in group)
+    scaled_gdof = evaluator.scaled_gdof
+
+    def lossy_gdof(scheme, channel):
+        D, N = scaled_gdof(scheme, channel)
+        return (D, (N[0] - 1, *N[1:])) if scheme.n % 2 == 0 else (D, N)
+
+    for lossy in (False, True):
+        if lossy:
+            monkeypatch.setattr(evaluator, "scaled_gdof", lossy_gdof)
+        first_mask = {}
+        for mask in decomp.candidate_masks(cm, budget):
+            result = decomp.evaluate_map(cm, mask)
+            first_mask.setdefault((result.verdict, result.verified), mask)
+        report = decomp.search(cm, budget)
+        assert bool(report.failed) is lossy
+        for group, verdict in ((report.frontier, True), (report.failed, False)):
+            masks = [_mask_of(r, links) for r in group]
+            assert masks == sorted(masks)
+            assert masks == [first_mask[verdict, r.verified] for r in group]
+            assert all(r.verdict is verdict for r in group)
 
 
 def test_search_verifies_each_distinct_scheme_once(monkeypatch):
@@ -334,7 +353,6 @@ def test_shared_memos_match_memo_less_evaluation(seed):
         alone = decomp.evaluate_map(cm, mask)
         for name in FIELDS:
             assert getattr(shared, name) == getattr(alone, name), (name, mask)
-    assert decomp.DecompositionResult.FIELDS == FIELDS
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,7 +432,7 @@ def test_threshold_search_caches_only_the_sub_masks_it_sees(monkeypatch):
 
 def test_a_search_hashes_no_fraction(network5, monkeypatch):
     """After a warm-up search, a fixture5 search hashes no Fraction, its
-    Streams being interned on ints, and builds at most 6,183: none per map,
+    Streams being interned on ints, and builds at most 2,571: none per map,
     as tin_symmetric's t and the results' lazy fields are never read."""
     decomp.search(network5)
     counts = {"__new__": 0, "__hash__": 0}
@@ -432,7 +450,7 @@ def test_a_search_hashes_no_fraction(network5, monkeypatch):
         monkeypatch.setattr(Fraction, name, counted(name))
     decomp.search(network5)
     monkeypatch.undo()
-    assert counts["__hash__"] == 0 and counts["__new__"] <= 6183, counts
+    assert counts["__hash__"] == 0 and counts["__new__"] <= 2571, counts
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from timtin.decomp import split
 from timtin.fixtures import five_user_network
 from timtin.model import (
-    MAX_ROW_DENOMINATOR_BITS,
+    MAX_LCM_BITS,
     DimensionMismatch,
     EmptyVector,
     MalformedDocument,
@@ -62,6 +62,41 @@ def test_decimal_exponent_beyond_the_bound_is_refused(text):
         to_fraction(text)
     with pytest.raises(ValueError, match="exponent"):
         loads(f'{{"alpha": [[{text.strip()}]]}}')
+
+
+def test_a_run_of_digits_beyond_the_input_limit_is_refused():
+    # each run of digits is bounded, not the number: two 4,300-digit runs
+    # are read, and one more digit in any run is refused with one message
+    assert to_fraction("7" * 4300 + "/" + "9" * 4300) == Fraction(int("7" * 4300), int("9" * 4300))
+    message = "^a run of 4301 digits exceeds the 4300-digit input limit$"
+    for text in ("7" * 4301, "0." + "7" * 4301, "1/" + "7" * 4301, "1e" + "0" * 4300 + "1"):
+        with pytest.raises(ValueError, match=message):
+            to_fraction(text)
+    with pytest.raises(MalformedDocument, match=message):
+        loads("[%s]" % ("7" * 4301))
+
+
+def test_strength_and_power_exponent_lcms_are_bounded():
+    # a lone 1e-4300 is read, and so is the widest denominator one number
+    # may spell, 10^8600, as a strength and as a power exponent
+    for entry in ("1e-4300", "0." + "7" * 4300 + "e-4300"):
+        x = to_fraction(entry)
+        channel = parse_topology(json.dumps({"K": 2, "alpha": [["1", entry], ["0", "1"]]}))
+        assert channel.scale == x.denominator
+        stream = {"user": 1, "vector": ["1"], "power_exp": "-" + entry}
+        scheme = parse_scheme(json.dumps({"n": 1, "streams": [stream]}))
+        assert scheme.scaled_powers == (x.denominator, (-x.numerator,))
+    # three coprime 4,300-digit denominators are refused, in a document and
+    # when the channel is built outside one
+    fractions = [f"1/{10**4299 + d}" for d in (1, 3, 7)]
+    alpha = [["1", *fractions[:2]], [fractions[2], "1", "0"], ["0", "0", "1"]]
+    with pytest.raises(MalformedDocument, match="^topology: the strengths' denominator lcm passes 32768 bits$"):
+        parse_topology(json.dumps({"K": 3, "alpha": alpha}))
+    with pytest.raises(ValueError, match=f"strengths' denominator lcm passes {MAX_LCM_BITS} bits"):
+        validate_channel(alpha)
+    streams = [{"user": 1, "vector": ["1"], "power_exp": "-" + f} for f in fractions]
+    with pytest.raises(MalformedDocument, match="^scheme: the power exponents' denominator lcm passes"):
+        parse_scheme(json.dumps({"n": 1, "streams": streams}))
 
 
 def test_to_fraction_returns_a_fraction_unchanged():
@@ -244,9 +279,9 @@ def test_integer_row_refuses_a_denominator_lcm_beyond_the_limit():
     text = json.dumps({"n": 2, "streams": [{"user": 1, "vector": [widest, "1"], "power_exp": "0"}]})
     assert parse_scheme(text).streams[0].vector == (7 * (10**4300 - 1) // 9, 10**8600)
     # denominators whose lcm passes the limit are refused
-    big = [Fraction(1, 2**MAX_ROW_DENOMINATOR_BITS - 1), Fraction(1, 2**MAX_ROW_DENOMINATOR_BITS + 1)]
+    big = [Fraction(1, 2**MAX_LCM_BITS - 1), Fraction(1, 2**MAX_LCM_BITS + 1)]
     assert integer_row(big[:1]) == (1,)
-    with pytest.raises(ValueError, match=f"{MAX_ROW_DENOMINATOR_BITS} bits"):
+    with pytest.raises(ValueError, match=f"{MAX_LCM_BITS} bits"):
         integer_row(big)
     # in a document, two coprime 4,300-digit denominators are read, and
     # three are refused
