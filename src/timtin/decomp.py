@@ -3,14 +3,14 @@
 Each present cross link goes to either the vector-space (TIM) component or
 the power-level (TIN) component.  The two components are solved
 separately, the per-user product of their fractions is the claimed GDoF,
-and an explicit combined scheme is synthesized and re-evaluated on the
-original channel.  Claims are never trusted: a result whose evaluated
-GDoF falls short of its product is reported with verdict=False rather
-than dropped.  Within one search, maps that yield the same scheme share
-one synthesis and one verification: a scheme is fully determined by the
-TIM block length and integer directions plus the TIN power exponents, so
-those values key the cache, and the same scheme on the same channel has
-the same GDoF tuple.
+and the combined scheme is re-evaluated on the original channel.  Claims
+are never trusted: a result whose evaluated GDoF falls short of its
+product is reported with verdict=False rather than dropped.  A scheme is
+fully determined by the TIM block length and integer directions plus the
+TIN power exponents, so the search verifies it on those integers, once
+per distinct scheme in a search (the same scheme on the same channel has
+the same GDoF tuple), and builds the explicit Scheme, by
+synthesize_scheme, only when a caller reads a result's ``scheme``.
 
 A map is its bitmask over the channel's cross links, from the search to
 the verdict; map_mask is the one place where a TIM link set becomes one.
@@ -20,17 +20,17 @@ one DecompositionResult.  Everything else is built once per distinct
 value in a search and kept in one _Caches bound to the channel, keyed on
 ints: per receiver and distinct sub-mask of its links, the heard list of
 its TIN side and the alignment and conflict bits of its TIM side; per
-distinct (alignment, conflict) signature, the TimSolution; per distinct
-conflict component, its fractional coloring; per distinct scheme, its
-synthesis and its reduced verified (denominator, numerators); per
-distinct stream, its Stream.  A result's other fields are built from its
-integers when first read, so a search builds them only for the results
-a caller reads.
+distinct (alignment, conflict) signature, the TimSolution, all equal
+solutions sharing one directions object; per distinct conflict
+component, its fractional coloring; per distinct scheme, its reduced
+verified (denominator, numerators).  A result's other fields, its scheme
+included, are built from its integers when first read, so a search
+builds them only for the results a caller reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -52,14 +52,16 @@ from .model import (
 from .tim import TimSolution, TimTopology, tim_solve
 
 
-# Largest exhaustive_cap a search accepts: 2^20 maps at ~0.07 ms each (the
-# 5-user reference network's 2,048 maps in 142-175 ms, best of 12
-# in-process searches on a 2-vCPU VM; more users cost more) is already
-# over a minute.
-# Exhaustive masks are a lazy range; the search keeps one result per
-# distinct verified tuple, and its _Caches one entry per distinct scheme,
-# stream, TIM graph pair, conflict component and receiver sub-mask, so its
-# memory grows with those counts, not with 2^L.
+# Largest exhaustive_cap a search accepts.  A map costs ~0.07 ms on the
+# 5-user reference network, ~0.5 ms on a seeded 9-user channel, whose
+# search (`scripts/scale_probe.py 9 18`, one thread of a 2-vCPU VM) took
+# 466 s at 747 MB peak RSS: 131 s for its 262,144 maps, 335 s for the
+# Pareto filter over 95,341 passed tuples (1,165 MB and 486 s when the
+# search held each distinct scheme).  Exhaustive masks are a lazy range;
+# the search keeps one result per distinct verified tuple, and its _Caches
+# one entry per distinct scheme (its verified tuple), TIM graph pair,
+# conflict component and receiver sub-mask, so its memory grows with those
+# counts, not with 2^L.
 MAX_EXHAUSTIVE_CAP = 20
 
 
@@ -79,21 +81,23 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """One map's outcome.  ``verdict`` and ``scheme`` are computed with it,
-    and ``tim_fractions`` and ``tim_method`` are its TimSolution's.  The
-    cached properties below are built from ``ints`` on first read, as
-    TinSolution.r is; ``ints`` determines them, so two results are equal
-    when the dataclass fields are."""
+    """One map's outcome.  ``verdict`` is computed with it, and
+    ``tim_fractions`` and ``tim_method`` are its TimSolution ``tim``'s.
+    The cached properties below are built from ``tim`` and ``ints`` on
+    first read, as TinSolution.r is, ``scheme`` by synthesize_scheme;
+    those fields determine them, so two results are equal when the
+    dataclass fields are."""
 
-    scheme: Scheme
     verdict: bool
-    tim_fractions: tuple[Fraction, ...]
-    tim_method: str
+    tim: TimSolution
     # the channel, its cross links and the map's bitmask over them, and the
     # map's single-level GDoF, products, power exponents and verified tuple
     # as (denominator, numerators) pairs, the verified one reduced
     ints: tuple = field(repr=False)
 
+    tim_fractions = property(lambda r: r.tim.fractions)
+    tim_method = property(lambda r: r.tim.method)
+    scheme = cached_property(lambda r: synthesize_scheme(r.ints[5], r.tim))
     map = cached_property(lambda r: split(r.ints[0], _tim_links(*r.ints[1:3])))
     tin_fractions = cached_property(lambda r: _as_fractions(r.ints[3]))
     products = cached_property(lambda r: _as_fractions(r.ints[4]))
@@ -134,25 +138,17 @@ def map_mask(channel: ChannelMatrix, tim_links: Iterable[tuple[int, int]]) -> in
     return sum(1 << b for b, link in enumerate(channel.cross_links()) if link in tim)
 
 
-def synthesize_scheme(
-    power: tuple[int, Sequence[int]], tim_sol: TimSolution, interned: dict | None = None
-) -> Scheme:
+def synthesize_scheme(power: tuple[int, Sequence[int]], tim_sol: TimSolution) -> Scheme:
     """Combine the two component solutions into one explicit scheme: each
     user u sends one stream per assigned direction, all at its power-level
     exponent R[u] / M for ``power`` (M, R) (the fraction lives in the
     dimension count, not the power).  The Stream and Scheme check each
     stream: a power exponent at most 0 and a nonzero direction of the
-    block length.  Equal (user, direction, P, Q) quadruples, P / Q the
-    exponent in lowest terms, give one Stream, built and checked once per
-    ``interned`` dict, which they key, so that no Fraction is hashed."""
+    block length, and the exponents' denominator lcm."""
     M, R = power
-    exponents = [(P // gcd(P, M), M // gcd(P, M)) for P in R]
-    quads = [(u, row, *exponents[u]) for u, rows in enumerate(tim_sol.directions) for row in rows]
-    interned = {} if interned is None else interned
-    for quad in quads:
-        if quad not in interned:
-            interned[quad] = Stream(quad[0], quad[1], Fraction(*quad[2:]))
-    return Scheme(tim_sol.n, tuple(map(interned.__getitem__, quads)))
+    return Scheme(tim_sol.n, tuple(
+        Stream(u, row, Fraction(R[u], M)) for u, rows in enumerate(tim_sol.directions) for row in rows
+    ))
 
 
 class _Caches:
@@ -169,19 +165,19 @@ class _Caches:
       (a, b), bit a * K + b, and conflict edges {k, j}, bit K * K + min *
       K + max;
     - ``canonical``: each distinct (n, directions) of a TimSolution to a
-      small int, its index in order of first sight;
+      small int, its index in order of first sight, and that first
+      directions object;
     - ``tim``: a map's signature, the OR over receivers, to its
-      TimSolution and the index of its (n, directions);
+      TimSolution, holding the canonical directions object, and the index
+      of its (n, directions);
     - ``colorings``: tim_solve's coloring memo;
     - ``verified``: keyed by that index and the reduced power exponents,
-      which together fix the scheme, the synthesized scheme and its
-      verified tuple as a reduced (denominator, numerators) pair;
-    - ``interned``: keyed by an int quadruple, each Stream (see
-      synthesize_scheme)."""
+      which together fix the scheme, its verified tuple as a reduced
+      (denominator, numerators) pair."""
 
     def __init__(self, channel: ChannelMatrix):
         self.channel, self.K, self.links = channel, channel.K, channel.cross_links()
-        self.tim, self.canonical, self.colorings, self.verified, self.interned = {}, {}, {}, {}, {}
+        self.tim, self.canonical, self.colorings, self.verified = {}, {}, {}, {}
         self.receivers = []
         for k in range(self.K):
             js = [j for r, j in self.links if r == k]
@@ -198,8 +194,8 @@ class _Caches:
 def evaluate_map(
     channel: ChannelMatrix, mask: int, caches: _Caches | None = None
 ) -> DecompositionResult:
-    """Solve both components of one map, synthesize the combined scheme,
-    and verify the per-user products on the original channel.
+    """Solve both components of one map and verify the per-user products
+    on the original channel with the combined scheme.
 
     The map is its bitmask over ``channel.cross_links()`` (bit b set sends
     link b to TIM; map_mask gives it for a TIM link set).  A mask that is
@@ -212,9 +208,10 @@ def evaluate_map(
     - per distinct value, in ``caches`` (a fresh _Caches when None), each
       keyed on ints: the heard tuple and signature bits of each receiver
       sub-mask, the TimSolution of each signature, each coloring, and each
-      scheme with its verified tuple;
-    - per read: the result's map, tin_fractions, products, verified and
-      power_exponents.
+      scheme's verified tuple, from its streams as ints;
+    - per read: the result's map, tin_fractions, products, verified,
+      power_exponents and scheme; the Stream and Scheme checks of the
+      scheme run then.
     """
     caches = _Caches(channel) if caches is None else caches
     if caches.channel != channel:
@@ -235,19 +232,21 @@ def evaluate_map(
     solved = caches.tim.get(signature)
     if solved is None:
         tim_sol = tim_solve(TimTopology(channel.K, _tim_links(caches.links, mask)), caches.colorings)
-        index = caches.canonical.setdefault((tim_sol.n, tim_sol.directions), len(caches.canonical))
-        solved = caches.tim[signature] = tim_sol, index
+        key = tim_sol.n, tim_sol.directions
+        index, directions = caches.canonical.setdefault(key, (len(caches.canonical), key[1]))
+        solved = caches.tim[signature] = replace(tim_sol, directions=directions), index
     tim_sol, index = solved
     B, F = tim_sol.scaled_fractions
     products = D * B, tuple([x * y for x, y in zip(N, F)])
-    verification = caches.verified.get((index, power))
-    if verification is None:
-        scheme = synthesize_scheme(power, tim_sol, caches.interned)
-        verified = _reduced(*evaluator.scaled_gdof(scheme, channel))
-        verification = caches.verified[index, power] = scheme, verified
-    scheme, verified = verification
+    verified = caches.verified.get((index, power))
+    if verified is None:
+        M, R = power
+        users = [u for u, rows in enumerate(tim_sol.directions) for _ in rows]
+        rows = [row for rows in tim_sol.directions for row in rows]
+        scaled = evaluator.scaled_gdof(tim_sol.n, (users, rows, (M, [R[u] for u in users])), channel)
+        verified = caches.verified[index, power] = _reduced(*scaled)
     return DecompositionResult(
-        scheme, _dominates(verified, products), tim_sol.fractions, tim_sol.method,
+        _dominates(verified, products), tim_sol,
         (channel, caches.links, mask, (D, N), products, power, verified),
     )
 

@@ -9,11 +9,13 @@ sorted weights), so no epsilon ever enters the GDoF path.  The sweep runs
 on Python ints: each stream holds its direction as an integer row, built
 when the stream is, and receiver k's exponents are scaled by one lcm E
 of the channel's strength scale and the power-exponent denominators.  One
-int core, ``_exponents_after``, reads a scheme's integer directions and
-integer receive exponents; user_gdof and gdof_report wrap it and make
-Fractions of the GDoF values they report, and ``scaled_gdof`` wraps it
-with no Fraction at all, which a decomposition search calls once per
-distinct scheme.
+int core, ``_exponents_after``, reads streams as ints alone: their users,
+integer rows and power exponents over one denominator.  user_gdof and
+gdof_report unpack a Scheme into that form and make Fractions of the
+GDoF values they report; ``scaled_gdof`` takes the form and a block
+length, with no Scheme and no Fraction at all, and a decomposition search
+calls it once per distinct scheme, straight from the TIM directions and
+TIN power exponents.
 
 A finite-power numerical oracle evaluates the actual achievable rates in
 floating point for cross-checking slopes against exact GDoF values.  Its
@@ -118,21 +120,18 @@ def _undecoded(users: Sequence[int], k: int, decoded: int) -> list[bool]:
 
 
 def _exponents_after(
-    scheme: Scheme, channel: ChannelMatrix, k: int, decodeds: Sequence[int]
+    streams: tuple, channel: ChannelMatrix, k: int, decodeds: Sequence[int]
 ) -> tuple[list[int], int]:
     """The int core of every GDoF the evaluator gives: receiver k's log-det
     exponents after each number in ``decodeds`` of its own streams decoded
     (running from none to all of them), as integers over one denominator
-    E, returned alongside.  The scheme's users and scaled powers are
-    cached on it and its streams hold integer rows, so only the receive
-    strengths are read per receiver."""
-    S, (Q, powers), users = channel.scale, scheme.scaled_powers, scheme.users
+    E, returned alongside.  ``streams`` are a scheme's streams as ints:
+    their users, integer rows and power exponents (Q, N), the values
+    N[s] / Q, so only the receive strengths are read per receiver."""
+    S, (users, rows, (Q, powers)) = channel.scale, streams
     E = math.lcm(S, Q)
     row, per_strength, per_power = channel.scaled[k], E // S, E // Q
-    pairs = [
-        (s.vector, row[u] * per_strength + p * per_power)
-        for s, u, p in zip(scheme.streams, users, powers)
-    ]
+    pairs = [(v, row[u] * per_strength + p * per_power) for v, u, p in zip(rows, users, powers)]
     # with none decoded, receiver k hears every stream
     views = (list(compress(pairs, _undecoded(users, k, d))) if d else pairs for d in decodeds)
     exps = [logdet_exponent(view) for view in views]
@@ -141,11 +140,12 @@ def _exponents_after(
     return exps, E
 
 
-def scaled_gdof(scheme: Scheme, channel: ChannelMatrix) -> tuple[int, tuple[int, ...]]:
-    """Every user's GDoF as integers (D, N), the values N[k] / D: what
+def scaled_gdof(n: int, streams: tuple, channel: ChannelMatrix) -> tuple[int, tuple[int, ...]]:
+    """Every user's GDoF as integers (D, N), the values N[k] / D, of an
+    n-use block's ``streams`` in _exponents_after's int form: what
     user_gdof gives, with no Fraction built."""
-    exps = [_exponents_after(scheme, channel, k, (0, scheme.users.count(k))) for k in range(channel.K)]
-    return scheme.n * exps[0][1], tuple(c - i for (c, i), _ in exps)  # one E for every receiver
+    exps = [_exponents_after(streams, channel, k, (0, streams[0].count(k))) for k in range(channel.K)]
+    return n * exps[0][1], tuple(c - i for (c, i), _ in exps)  # one E for every receiver
 
 
 def _user_from(combined: int, interference: int, n: int, E: int) -> UserGdof:
@@ -159,8 +159,8 @@ def _user_from(combined: int, interference: int, n: int, E: int) -> UserGdof:
 def user_gdof(scheme: Scheme, channel: ChannelMatrix, k: int) -> UserGdof:
     """GDoF of user k: exponents of the two determinants and their scaled
     difference."""
-    b = scheme.users.count(k)
-    (combined, interference), E = _exponents_after(scheme, channel, k, (0, b))
+    streams = scheme.users, [s.vector for s in scheme.streams], scheme.scaled_powers
+    (combined, interference), E = _exponents_after(streams, channel, k, (0, scheme.users.count(k)))
     return _user_from(combined, interference, scheme.n, E)
 
 
@@ -170,11 +170,11 @@ def gdof_report(scheme: Scheme, channel: ChannelMatrix) -> GDoFReport:
     Each user's exponents after 0..b decoded streams are taken once; the
     user GDoF comes from the two ends.  Stream l's value is the exponent's
     drop when it is decoded, so each user's values telescope to its GDoF."""
-    users = []
-    per_stream = []
+    streams = scheme.users, [s.vector for s in scheme.streams], scheme.scaled_powers
+    users, per_stream = [], []
     for k in range(channel.K):
         b = scheme.users.count(k)
-        exps, E = _exponents_after(scheme, channel, k, range(b + 1))
+        exps, E = _exponents_after(streams, channel, k, range(b + 1))
         u = _user_from(exps[0], exps[b], scheme.n, E)
         sc = tuple(Fraction(exps[l] - exps[l + 1], scheme.n * E) for l in range(b))
         if sum(sc, Fraction(0)) != u.gdof:

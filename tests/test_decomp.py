@@ -16,6 +16,7 @@ from oracles import (
 from timtin import decomp, evaluator, tin
 from timtin.fixtures import BASELINE_TIM_LINKS
 from timtin.model import (
+    MAX_LCM_BITS,
     ChannelMatrix,
     MapMismatch,
     Scheme,
@@ -230,7 +231,8 @@ def test_search_reports_the_maps_it_evaluated(network5, monkeypatch, cap):
 @given(st.integers(0, 10**6))
 def test_synthesized_schemes_are_already_normalized(seed):
     """Every TIM direction is an int row that leads with 1, so it is its
-    own integer_row: each synthesized stream holds the TIM row as given."""
+    own integer_row: each synthesized stream holds the TIM row as given,
+    at its user's power exponent in lowest terms."""
     rng = random.Random(seed)
     K = rng.randint(2, 6)
     links = frozenset(
@@ -247,29 +249,19 @@ def test_synthesized_schemes_are_already_normalized(seed):
         assert all(type(c) is int for s in r.scheme.streams for c in s.vector)
         directions = tim_solve(TimTopology(cm.K, r.map.tim_links)).directions
         assert [s.vector for s in r.scheme.streams] == [v for vs in directions for v in vs]
-
-
-def test_synthesize_scheme_interns_one_stream_per_quadruple():
+        assert r.scheme.users == tuple(u for u, vs in enumerate(directions) for _ in vs)
+        assert [s.power_exp for s in r.scheme.streams] == [r.power_exponents[u] for u in r.scheme.users]
+    # an explicit case: exponents -2/4 and 0/4 enter in lowest terms
     rows = ((1, 0, 3), (0, 0, 1)), ((0, 1, -2),)
     sol = TimSolution((Fraction(2, 3), Fraction(1, 3)), "coloring", 3, rows)
-    interned = {}
-    built = decomp.synthesize_scheme((4, (-2, 0)), sol, interned)
+    built = decomp.synthesize_scheme((4, (-2, 0)), sol)
     expected = Scheme(3, (
         Stream(0, (1, 0, 3), Fraction(-1, 2)),
         Stream(0, (0, 0, 1), Fraction(-1, 2)),
         Stream(1, (0, 1, -2), 0),
     ))
     assert built == expected and repr(built) == repr(expected)
-    # the intern is keyed on ints alone, each exponent in lowest terms,
-    # one Stream per distinct quadruple
-    quads = [(0, (1, 0, 3), -1, 2), (0, (0, 0, 1), -1, 2), (1, (0, 1, -2), 0, 1)]
-    assert list(interned) == quads
-    assert all(type(x) is int for _, row, p, q in interned for x in (*row, p, q))
-    assert [interned[q] for q in quads] == list(built.streams)
-    again = decomp.synthesize_scheme((2, (-1, -1)), sol, interned)
-    assert again.streams[:2] == built.streams[:2]
-    assert all(a is b for a, b in zip(again.streams[:2], built.streams[:2]))
-    assert again.streams[2] is interned[(1, (0, 1, -2), -1, 2)]
+    assert [s.power_exp.as_integer_ratio() for s in built.streams] == [(-1, 2), (-1, 2), (0, 1)]
     assert built.users == (0, 0, 1)
     assert built.scaled_powers == (2, (-1, -1, 0))
 
@@ -291,9 +283,9 @@ def test_search_results_in_mask_order(cap, monkeypatch):
     budget = decomp.SearchBudget(exhaustive_cap=cap)
     scaled_gdof = evaluator.scaled_gdof
 
-    def lossy_gdof(scheme, channel):
-        D, N = scaled_gdof(scheme, channel)
-        return (D, (N[0] - 1, *N[1:])) if scheme.n % 2 == 0 else (D, N)
+    def lossy_gdof(n, streams, channel):
+        D, N = scaled_gdof(n, streams, channel)
+        return (D, (N[0] - 1, *N[1:])) if n % 2 == 0 else (D, N)
 
     for lossy in (False, True):
         if lossy:
@@ -312,10 +304,11 @@ def test_search_results_in_mask_order(cap, monkeypatch):
 
 
 def test_search_verifies_each_distinct_scheme_once(monkeypatch):
-    """Maps that yield the same scheme share one synthesis and one
-    verification: search synthesizes exactly the distinct schemes that
-    memo-less evaluation finds over every mask, and hands each to the
-    evaluator's integer verification once, right after synthesizing it."""
+    """Maps that yield the same scheme share one verification: search hands
+    the evaluator's integer verification the int form of exactly the
+    distinct schemes that memo-less evaluation finds over every mask, each
+    once, and builds no scheme.  A result builds its scheme by
+    synthesize_scheme, looked up at call time, on its first read only."""
     cm = random_channel(random.Random(7), 4, cross_prob=0.6)
     links = cm.cross_links()
     distinct = {decomp.evaluate_map(cm, mask).scheme for mask in range(1 << len(links))}
@@ -326,17 +319,62 @@ def test_search_verifies_each_distinct_scheme_once(monkeypatch):
         schemes.append(synthesize(*args))
         return schemes[-1]
 
-    def record_verification(scheme, channel):
-        verified.append(scheme)
-        return scaled_gdof(scheme, channel)
+    def record_verification(n, streams, channel):
+        users, rows, (Q, N) = streams
+        verified.append((n, tuple(users), tuple(rows), tuple(Fraction(p, Q) for p in N)))
+        return scaled_gdof(n, streams, channel)
 
     monkeypatch.setattr(decomp, "synthesize_scheme", record_scheme)
     monkeypatch.setattr(evaluator, "scaled_gdof", record_verification)
-    decomp.search(cm)
-    assert len(schemes) == len(set(schemes))  # no scheme is synthesized twice
-    assert set(schemes) == distinct
-    assert len(schemes) < 1 << len(links)  # some maps share a scheme
-    assert [id(s) for s in verified] == [id(s) for s in schemes]  # each verified once
+    report = decomp.search(cm)
+    assert schemes == []
+    assert len(verified) == len(set(verified)) == len(distinct) < 1 << len(links)
+    assert set(verified) == {
+        (s.n, s.users, tuple(x.vector for x in s.streams), tuple(x.power_exp for x in s.streams))
+        for s in distinct
+    }
+    result = report.frontier[0]
+    first = result.scheme
+    assert schemes == [first]
+    assert result.scheme is first and schemes == [first]  # a second read builds nothing
+    assert first == decomp.evaluate_map(cm, _mask_of(result, links)).scheme
+
+
+def test_a_scheme_is_checked_when_read():
+    """A search verifies each map on ints and builds no scheme, so a map
+    whose scheme the Scheme refuses (its power exponents' denominator lcm
+    one bit over MAX_LCM_BITS, as a TIN solve halves a target on a channel
+    at the limit) is still evaluated: reading its scheme raises, and a
+    search whose frontier holds only other maps succeeds."""
+    d0, d1, d2 = 2**10925 + 5, 2**10921 + 3, 2**10921 + 9
+    weak = Fraction(7 * d1 // 10, d1), Fraction(7 * d2 // 10, d2)
+    cm = ChannelMatrix(2, ((1, weak[0]), (weak[1], 1 - Fraction(1, d0))))
+    assert cm.scale.bit_length() == MAX_LCM_BITS
+    result = decomp.evaluate_map(cm, 0)  # both links treated as noise
+    assert result.ints[5][0].bit_length() == MAX_LCM_BITS + 1
+    with pytest.raises(ValueError, match="power exponents' denominator lcm passes"):
+        result.scheme
+    report = decomp.search(cm)
+    assert [_mask_of(r, cm.cross_links()) for r in report.frontier] == [3] and report.failed == []
+    assert report.frontier[0].scheme.n == 2
+
+
+def test_equal_tim_solutions_share_one_directions_object():
+    """Signatures whose TimSolutions have equal (n, directions) hold one
+    directions object, the first seen, and the verification cache holds
+    only reduced (denominator, numerators) ints, no scheme."""
+    cm = random_channel(random.Random(7), 4, cross_prob=0.6)
+    caches = decomp._Caches(cm)
+    for mask in range(1 << len(caches.links)):
+        decomp.evaluate_map(cm, mask, caches)
+    first = {}
+    for tim_sol, index in caches.tim.values():
+        kept = first.setdefault((tim_sol.n, tim_sol.directions), tim_sol.directions)
+        assert tim_sol.directions is kept
+        assert caches.canonical[tim_sol.n, kept] == (index, kept)
+    assert len(first) == len(caches.canonical) < len(caches.tim)  # signatures share solutions
+    for D, N in caches.verified.values():
+        assert type(D) is int and all(type(x) is int for x in N)
 
 
 @settings(max_examples=30, deadline=None)
@@ -431,9 +469,9 @@ def test_threshold_search_caches_only_the_sub_masks_it_sees(monkeypatch):
 
 
 def test_a_search_hashes_no_fraction(network5, monkeypatch):
-    """After a warm-up search, a fixture5 search hashes no Fraction, its
-    Streams being interned on ints, and builds at most 2,571: none per map,
-    as tin_symmetric's t and the results' lazy fields are never read."""
+    """After a warm-up search, a fixture5 search hashes no Fraction and
+    builds at most 1,398: none per map, as tin_symmetric's t and the
+    results' lazy fields, their schemes included, are never read."""
     decomp.search(network5)
     counts = {"__new__": 0, "__hash__": 0}
 
@@ -450,7 +488,7 @@ def test_a_search_hashes_no_fraction(network5, monkeypatch):
         monkeypatch.setattr(Fraction, name, counted(name))
     decomp.search(network5)
     monkeypatch.undo()
-    assert counts["__hash__"] == 0 and counts["__new__"] <= 2571, counts
+    assert counts["__hash__"] == 0 and counts["__new__"] <= 1398, counts
 
 
 @settings(max_examples=30, deadline=None)

@@ -42,6 +42,29 @@ def load_script(name):
     return module
 
 
+def test_scale_probe_prints_one_line_of_a_seeded_exhaustive_search():
+    scale_probe = load_script("scale_probe")
+    channel = scale_probe.probe_channel(4, 6, 3)
+    assert channel == scale_probe.probe_channel(4, 6, 3)  # seeded
+    assert len(channel.cross_links()) == 6
+    for k in range(4):
+        assert 80 <= channel.alpha[k][k] * 101 <= 103
+    assert all(20 <= channel.alpha[k][i] * 101 <= 100 for k, i in channel.cross_links())
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "4", "6", "--seed", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    line = json.loads(done.stdout)
+    assert done.stdout.count("\n") == 1
+    report = decomp.search(channel, decomp.SearchBudget(exhaustive_cap=6))
+    assert (line["K"], line["L"], line["seed"]) == (4, 6, 3)
+    assert line["maps"] == report.evaluated == 64
+    assert line["frontier"] == len(report.frontier)
+    assert line["seconds"] >= 0 and line["peak_rss_mb"] > 0
+
+
 def result_line(run_ref_s, throughput, failed=0, attempted=10, correct=True):
     """A perfbench result line as `perfbench/run.py --trace 0` prints it."""
     return {
